@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-trace fuzz-events coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ fuzz:
 fuzz-scenario:
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=30s ./internal/scenario
 
+# Trace-CSV loader fuzz smoke: arbitrary bytes and intervals through
+# trace.LoadCSV; malformed input must error, accepted input must give
+# finite utilization samples in [0,1].
+fuzz-trace:
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=30s ./internal/trace
+
+# Events-CSV parser fuzz smoke: arbitrary bytes through obs.ParseCSVEvents;
+# accepted input must survive parse -> WriteCSV -> parse unchanged.
+fuzz-events:
+	$(GO) test -run='^$$' -fuzz=FuzzParseCSVEvents -fuzztime=30s ./internal/obs
+
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
 coverfloor:
@@ -68,7 +79,6 @@ bench:
 	{ \
 	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch' -benchmem -benchtime=2s ./internal/simtime; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting' -benchmem -benchtime=2s ./internal/server; \
-	  $(GO) test -run='^$$' -bench 'BenchmarkSnapshotFork' -benchmem -benchtime=2s ./internal/core; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkPercentile' -benchmem -benchtime=2s ./internal/stats; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkBusEmit|BenchmarkRecorderRecord|BenchmarkTimelineEmit' -benchmem -benchtime=2s ./internal/obs; \

@@ -12,7 +12,6 @@ import (
 	"antidope/internal/defense"
 	"antidope/internal/faults"
 	"antidope/internal/power"
-	"antidope/internal/report"
 	"antidope/internal/workload"
 )
 
@@ -54,16 +53,7 @@ func chaosConfig() core.Config {
 
 func serializeRun(t *testing.T, cfg core.Config) []byte {
 	t.Helper()
-	res, err := core.RunOnce(cfg)
-	if err != nil {
-		t.Fatalf("RunOnce: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := report.JSON(&buf, res, 200); err != nil {
-		t.Fatalf("serialize: %v", err)
-	}
-	res.Fprint(&buf)
-	return buf.Bytes()
+	return serializeResult(t, mustRun(t, cfg))
 }
 
 // TestFaultInjectedReplayIsByteIdentical is the determinism acceptance
@@ -73,11 +63,7 @@ func TestFaultInjectedReplayIsByteIdentical(t *testing.T) {
 	first := serializeRun(t, chaosConfig())
 	second := serializeRun(t, chaosConfig())
 	if !bytes.Equal(first, second) {
-		i := 0
-		for i < len(first) && i < len(second) && first[i] == second[i] {
-			i++
-		}
-		t.Fatalf("fault-injected replay diverged at byte %d", i)
+		t.Fatalf("fault-injected replay diverged at byte %d", diffByte(first, second))
 	}
 }
 

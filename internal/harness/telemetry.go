@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"antidope/internal/core"
 	"antidope/internal/obs"
 )
 
@@ -58,18 +57,11 @@ type Telemetry struct {
 	busy     *obs.Gauge
 	busyPeak *obs.Gauge
 
-	snapshots *obs.Counter
-	forks     *obs.Counter
-	// snapBase/forkBase are the process-wide core counters at construction;
-	// the exported totals are deltas so a fresh Telemetry starts at zero.
-	snapBase, forkBase uint64
-
 	inflight int
 	records  []JobRecord
 }
 
-// NewTelemetry builds an empty Telemetry whose snapshot/fork counters are
-// zeroed against the current process-wide totals.
+// NewTelemetry builds an empty Telemetry.
 func NewTelemetry() *Telemetry {
 	reg := obs.NewRegistry()
 	t := &Telemetry{
@@ -82,10 +74,7 @@ func NewTelemetry() *Telemetry {
 		workers:   reg.Gauge("harness_pool_workers", "configured worker count of the last pool run"),
 		busy:      reg.Gauge("harness_workers_busy", "workers currently running a job"),
 		busyPeak:  reg.Gauge("harness_workers_busy_peak", "maximum concurrently busy workers seen"),
-		snapshots: reg.Counter("core_snapshots_total", "core simulation snapshots taken process-wide"),
-		forks:     reg.Counter("core_forks_total", "core simulation forks taken process-wide"),
 	}
-	t.snapBase, t.forkBase = core.SnapshotStats()
 	return t
 }
 
@@ -138,24 +127,10 @@ func (t *Telemetry) poolStarted(workers int) {
 	t.mu.Unlock()
 }
 
-// refreshSnapshotStats folds the process-wide core snapshot/fork totals
-// into the registry counters as deltas against the construction baseline.
-// Called with t.mu held.
-func (t *Telemetry) refreshSnapshotStats() {
-	snaps, forks := core.SnapshotStats()
-	if cur := snaps - t.snapBase; cur > t.snapshots.Value() {
-		t.snapshots.Add(cur - t.snapshots.Value())
-	}
-	if cur := forks - t.forkBase; cur > t.forks.Value() {
-		t.forks.Add(cur - t.forks.Value())
-	}
-}
-
 // GatherPrometheus renders a consistent snapshot of the telemetry registry
 // (obs.Gatherer): render under the lock, write outside it.
 func (t *Telemetry) GatherPrometheus(w io.Writer) error {
 	t.mu.Lock()
-	t.refreshSnapshotStats()
 	var sb stringsBuilder
 	err := t.reg.WritePrometheus(&sb)
 	t.mu.Unlock()
@@ -186,15 +161,12 @@ func (t *Telemetry) Records() []JobRecord {
 // wall-clock runtimes inside it are not reproducible across hosts.
 func (t *Telemetry) WriteManifest(w io.Writer) error {
 	t.mu.Lock()
-	t.refreshSnapshotStats()
 	recs := append([]JobRecord(nil), t.records...)
 	workers := t.workers.Value()
 	started := t.started.Value()
 	completed := t.completed.Value()
 	failed := t.failed.Value()
 	retries := t.retries.Value()
-	snaps := t.snapshots.Value()
-	forks := t.forks.Value()
 	t.mu.Unlock()
 
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Label < recs[j].Label })
@@ -207,8 +179,6 @@ func (t *Telemetry) WriteManifest(w io.Writer) error {
 	bw.WriteString("  \"jobs_completed\": " + strconv.FormatUint(completed, 10) + ",\n")
 	bw.WriteString("  \"jobs_failed\": " + strconv.FormatUint(failed, 10) + ",\n")
 	bw.WriteString("  \"job_retries\": " + strconv.FormatUint(retries, 10) + ",\n")
-	bw.WriteString("  \"core_snapshots\": " + strconv.FormatUint(snaps, 10) + ",\n")
-	bw.WriteString("  \"core_forks\": " + strconv.FormatUint(forks, 10) + ",\n")
 	bw.WriteString("  \"jobs\": [")
 	for i, r := range recs {
 		if i > 0 {

@@ -191,38 +191,3 @@ func TestTelemetryNilIsNoOp(t *testing.T) {
 	done(1, nil) // must not panic
 	tele.poolStarted(1)
 }
-
-// TestTelemetrySnapshotCounters folds the process-wide snapshot/fork stats
-// as deltas: a fresh telemetry starts at zero even after other tests
-// snapshotted, and snapshots taken after construction appear.
-func TestTelemetrySnapshotCounters(t *testing.T) {
-	tele := NewTelemetry()
-	var before bytes.Buffer
-	if err := tele.GatherPrometheus(&before); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(before.Bytes(), []byte("core_snapshots_total 0\n")) {
-		t.Fatalf("fresh telemetry must report zero snapshots:\n%s", before.String())
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Horizon = 2
-	cfg.WarmupSec = 0
-	sim, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Start()
-	sim.RunTo(1)
-	if _, err := sim.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	var after bytes.Buffer
-	if err := tele.GatherPrometheus(&after); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(after.Bytes(), []byte("core_snapshots_total 0\n")) {
-		t.Fatalf("snapshot not reflected in telemetry:\n%s", after.String())
-	}
-}

@@ -118,6 +118,11 @@ func parseCSVLine(s string, labels map[string]string) (Event, error) {
 		return Event{}, fmt.Errorf("bad b %q: %v", parts[6], err)
 	}
 	label := parts[7]
+	// The line scanner strips one trailing CR, so a label ending in CR
+	// would not survive a write-and-reparse; WriteCSV never emits one.
+	if strings.IndexByte(label, '\r') >= 0 {
+		return Event{}, fmt.Errorf("carriage return in label %q", label)
+	}
 	if interned, ok := labels[label]; ok {
 		label = interned
 	} else {

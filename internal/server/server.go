@@ -156,27 +156,6 @@ func (s *Server) refreshSpeedTab() {
 // SetObserver installs the event sink. Pass nil to detach.
 func (s *Server) SetObserver(o obs.Observer) { s.obs = o }
 
-// Clone returns an independent deep copy for snapshot forking. In-service
-// requests are copied struct-by-struct — both sides keep depleting their own
-// ledgers — while the read-only power table is shared. Caches that are pure
-// derivations (mix summary, done buffer) start cold on the clone; the
-// observer is detached, matching Snapshot's unobserved-run precondition.
-func (s *Server) Clone() *Server {
-	c := *s
-	c.active = make([]*workload.Request, len(s.active))
-	for i, r := range s.active {
-		cp := *r
-		c.active[i] = &cp
-	}
-	c.actRem = append([]float64(nil), s.actRem...)
-	c.actCls = append([]workload.Class(nil), s.actCls...)
-	c.mixBuf = nil
-	c.mixValid = false
-	c.doneBuf = nil
-	c.obs = nil
-	return &c
-}
-
 // Version increments whenever the server's dynamics change (arrival,
 // completion, frequency change). The simulation driver stamps scheduled
 // completion events with it to invalidate stale events cheaply.

@@ -76,18 +76,6 @@ func (e Event) At() Seconds {
 	return e.ev.at
 }
 
-// Seq returns the event's scheduling sequence number — the engine's tie-break
-// key for events sharing one timestamp — or 0 when the event is not pending.
-// Snapshot capture reads it to re-schedule surviving chains on a forked
-// engine in an order that reproduces the original's same-instant firing
-// order.
-func (e Event) Seq() uint64 {
-	if !e.Pending() {
-		return 0
-	}
-	return e.ev.seq
-}
-
 // compactMin is the queue size below which compaction is not worth the
 // rebuild; tiny queues recycle cancelled events at pop time anyway.
 const compactMin = 64
@@ -434,27 +422,6 @@ func (t *Ticker) fire(now Seconds) {
 	if !t.done {
 		t.ev = t.engine.Schedule(now+t.period, t.fireFn)
 	}
-}
-
-// Next returns the absolute time of the ticker's next scheduled fire, and
-// whether one is pending (a stopped ticker has none). Snapshot capture uses
-// it to re-arm an equivalent ticker on a forked engine.
-func (t *Ticker) Next() (Seconds, bool) {
-	if t.done || !t.ev.Pending() {
-		return 0, false
-	}
-	return t.ev.At(), true
-}
-
-// NextEvent returns the handle of the ticker's next scheduled fire (the zero
-// Event for a stopped ticker), exposing its time and sequence number to
-// snapshot capture. Cancelling the handle directly would desynchronize the
-// ticker; use Stop instead.
-func (t *Ticker) NextEvent() Event {
-	if t.done {
-		return Event{}
-	}
-	return t.ev
 }
 
 // Stop cancels all future ticks. Stopping twice is a no-op.

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,12 +19,14 @@ import (
 //
 // Only time_stamp (seconds) and cpu_util_percent (0-100) are consumed;
 // trailing columns are ignored so both container_usage and machine_usage
-// files parse. Rows with malformed numbers are skipped and counted; more
-// than half malformed is an error, because that indicates the wrong file
-// rather than dirty data.
+// files parse. Rows with malformed or non-finite numbers are skipped and
+// counted; half or more malformed is an error, because that indicates the
+// wrong file rather than dirty data. A trace spanning more than maxSamples
+// intervals is an error too, so one stray time stamp cannot size an
+// unbounded sample slice.
 func LoadCSV(r io.Reader, intervalSec float64) (*Trace, error) {
-	if intervalSec <= 0 {
-		return nil, fmt.Errorf("trace: interval %v must be positive", intervalSec)
+	if !(intervalSec > 0) || math.IsInf(intervalSec, 1) {
+		return nil, fmt.Errorf("trace: interval %v must be positive and finite", intervalSec)
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // the real trace has variable trailing fields
@@ -56,12 +59,16 @@ func LoadCSV(r io.Reader, intervalSec float64) (*Trace, error) {
 		rows++
 		ts, err1 := strconv.ParseFloat(strings.TrimSpace(rec[2]), 64)
 		cpu, err2 := strconv.ParseFloat(strings.TrimSpace(rec[3]), 64)
-		if err1 != nil || err2 != nil || cpu < 0 {
+		if err1 != nil || err2 != nil || !isFinite(ts) || !isFinite(cpu) || cpu < 0 {
 			bad++
 			continue
 		}
+		q := ts / intervalSec
+		if math.Abs(q) > maxBucket {
+			return nil, fmt.Errorf("trace: time stamp %v out of range", ts)
+		}
 		machines[rec[1]] = struct{}{}
-		k := int64(ts / intervalSec)
+		k := int64(q)
 		b := buckets[k]
 		if b == nil {
 			b = &bucket{}
@@ -73,7 +80,7 @@ func LoadCSV(r io.Reader, intervalSec float64) (*Trace, error) {
 	if rows == 0 {
 		return nil, fmt.Errorf("trace: empty csv")
 	}
-	if bad*2 > rows {
+	if bad*2 >= rows {
 		return nil, fmt.Errorf("trace: %d/%d rows malformed; wrong schema?", bad, rows)
 	}
 
@@ -87,6 +94,9 @@ func LoadCSV(r io.Reader, intervalSec float64) (*Trace, error) {
 	}
 
 	first, last := keys[0], keys[len(keys)-1]
+	if last-first >= maxSamples {
+		return nil, fmt.Errorf("trace: time stamps span %d intervals, more than %d", last-first+1, maxSamples)
+	}
 	out := &Trace{
 		IntervalSec: intervalSec,
 		Samples:     make([]float64, last-first+1),
@@ -103,6 +113,16 @@ func LoadCSV(r io.Reader, intervalSec float64) (*Trace, error) {
 	}
 	return out, nil
 }
+
+// maxSamples caps a loaded trace's length: 1<<22 intervals is 48 days at
+// one-second resolution, well past the 8-day Alibaba trace.
+const maxSamples = 1 << 22
+
+// maxBucket bounds a time stamp's interval index so the int64 conversion is
+// exact and index differences cannot overflow.
+const maxBucket = 1 << 53
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -209,6 +209,15 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, err := LoadCSV(strings.NewReader(junk), 60); err == nil {
 		t.Fatal("garbage csv accepted")
 	}
+	// strconv accepts NaN; a non-finite utilization is a malformed row, and
+	// one bad row out of two is too many.
+	if tr, err := LoadCSV(strings.NewReader("a,m,0,NaN\nb,m,1,50\n"), 1); err == nil {
+		t.Fatalf("NaN utilization accepted: %v", tr.Samples)
+	}
+	// A far-future time stamp must not size a 1e300-interval sample slice.
+	if _, err := LoadCSV(strings.NewReader("a,m,0,50\nb,m,1e300,50\n"), 1); err == nil {
+		t.Fatal("1e300 s span accepted")
+	}
 }
 
 func TestLoadCSVClampsUtil(t *testing.T) {

@@ -96,17 +96,6 @@ func NewGenerator(src Source, rateCap float64, factory *Factory, rnd *rng.Stream
 	return &Generator{src: src, factory: factory, rnd: rnd, rateCap: rateCap}
 }
 
-// Clone returns an independent generator that will produce exactly the same
-// arrival stream as this one from here on, minting requests from the given
-// factory (the fork's own). The Source spec is shared — its Rate function is
-// pure and the spec is read-only after construction.
-func (g *Generator) Clone(factory *Factory) *Generator {
-	c := *g
-	c.factory = factory
-	c.rnd = g.rnd.Clone()
-	return &c
-}
-
 // Next returns the next arrival strictly after the previous one, or ok=false
 // when no arrival occurs before horizon.
 func (g *Generator) Next(horizon float64) (Arrival, bool) {
@@ -162,28 +151,6 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
-}
-
-// Clone returns an independent mix producing the same merged stream from
-// here on, minting from the given factory. Buffered lookahead arrivals are
-// deep-copied, including their requests: both sides hand their copy to their
-// own simulation, which mutates and eventually recycles it.
-func (m *Mix) Clone(factory *Factory) *Mix {
-	c := &Mix{
-		gens:    make([]*Generator, len(m.gens)),
-		pending: make([]*Arrival, len(m.pending)),
-	}
-	for i, g := range m.gens {
-		c.gens[i] = g.Clone(factory)
-	}
-	for i, a := range m.pending {
-		if a == nil {
-			continue
-		}
-		req := *a.Req
-		c.pending[i] = &Arrival{At: a.At, Req: &req}
-	}
-	return c
 }
 
 // Next returns the earliest arrival across all sources before horizon.
