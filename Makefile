@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-trace fuzz-events coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-trace fuzz-events fuzz-bench coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,16 @@ fuzz-trace:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=30s ./internal/trace
 
 # Events-CSV parser fuzz smoke: arbitrary bytes through obs.ParseCSVEvents;
-# accepted input must survive parse -> WriteCSV -> parse unchanged.
+# accepted input must survive parse -> WriteCSV -> parse unchanged, and its
+# offline timeline rebuild (Timeline.Replay) must error or stay bounded.
 fuzz-events:
 	$(GO) test -run='^$$' -fuzz=FuzzParseCSVEvents -fuzztime=30s ./internal/obs
+
+# Benchmark-output parser fuzz smoke: arbitrary bytes through benchregress's
+# parse; malformed numbers must error, accepted entries must be finite and
+# non-negative.
+fuzz-bench:
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./cmd/benchregress
 
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.

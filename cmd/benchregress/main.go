@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -112,9 +113,12 @@ func main() {
 	}
 }
 
-func parse(f *os.File) (benchFile, error) {
+// parse reads `go test -bench` output and collects every result line.
+// Lines that are not results are skipped; a result line whose number does not
+// parse (the regexp admits "1.2.3") is an error.
+func parse(r io.Reader) (benchFile, error) {
 	out := benchFile{Schema: schema, Benchmarks: map[string]benchEntry{}}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -122,10 +126,17 @@ func parse(f *os.File) (benchFile, error) {
 		if m == nil {
 			continue
 		}
-		e := benchEntry{NsPerOp: mustFloat(m[2])}
+		var e benchEntry
+		fields := []*float64{&e.NsPerOp}
 		if m[3] != "" {
-			e.BytesPerOp = mustFloat(m[3])
-			e.AllocsPerOp = mustFloat(m[4])
+			fields = append(fields, &e.BytesPerOp, &e.AllocsPerOp)
+		}
+		for i, dst := range fields {
+			v, err := strconv.ParseFloat(m[2+i], 64)
+			if err != nil {
+				return out, fmt.Errorf("%s: malformed number %q", m[1], m[2+i])
+			}
+			*dst = v
 		}
 		out.Benchmarks[m[1]] = e
 	}
@@ -145,12 +156,4 @@ func load(path string) (benchFile, error) {
 		return bf, fmt.Errorf("%s: schema %q, want %q", path, bf.Schema, schema)
 	}
 	return bf, nil
-}
-
-func mustFloat(s string) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		panic(err) // unreachable: the regexp only matches numbers
-	}
-	return v
 }

@@ -54,11 +54,14 @@ func main() {
 		fatal(err)
 	}
 
-	rep := analyze.Run(events, analyze.Config{
+	rep, err := analyze.Run(events, analyze.Config{
 		BreakerLimitW: *breakerW,
 		WindowSec:     *windowSec,
 		StormRetries:  *stormN,
 	})
+	if err != nil {
+		fatal(err)
+	}
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -76,7 +79,9 @@ func main() {
 	if *timelineJ != "" || *timelineCSV != "" {
 		tl := obs.NewTimeline(*windowSec, *slaSec)
 		for _, ev := range events {
-			tl.Add(ev)
+			if err := tl.Replay(ev); err != nil {
+				fatal(err)
+			}
 		}
 		writeTo(*timelineJ, tl.WriteJSON)
 		writeTo(*timelineCSV, tl.WriteCSV)

@@ -62,42 +62,6 @@ func (b BreakerCfg) Defaults() BreakerCfg {
 	return b
 }
 
-// NetPolicy governs the delivery layer that activates when the fault
-// schedule carries network-condition windows (NetDelay/NetLoss/
-// NetPartition): a per-request delivery timeout and bounded retries with
-// exponential backoff and seeded jitter, all in sim-time. It mirrors
-// harness.RetryPolicy's deterministic shape. The zero value selects the
-// documented defaults; without network windows the policy is never
-// consulted.
-type NetPolicy struct {
-	// Attempts is the total number of delivery tries per request
-	// (re-routed through the balancer each time); <= 0 selects the
-	// default of 3.
-	Attempts int
-	// TimeoutSec is how long the sender waits before declaring one
-	// delivery attempt lost or late; 0 selects the default of 1 s.
-	TimeoutSec float64
-	// BackoffSec is the base retry backoff, doubled per attempt; 0
-	// selects the default of 0.05 s.
-	BackoffSec float64
-	// JitterFrac spreads each backoff by up to this fraction (seeded); 0
-	// selects the default of 0.2.
-	JitterFrac float64
-}
-
-// Defaults returns the policy with every unset field replaced by its
-// documented default: 3 attempts, 1 s timeout, 50 ms base backoff, 20%
-// jitter.
-func (p NetPolicy) Defaults() NetPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 3
-	}
-	p.TimeoutSec = orDefault(p.TimeoutSec, 1)
-	p.BackoffSec = orDefault(p.BackoffSec, 0.05)
-	p.JitterFrac = orDefault(p.JitterFrac, 0.2)
-	return p
-}
-
 // Config describes one simulation run.
 type Config struct {
 	// Cluster is the power domain under test.
@@ -139,22 +103,12 @@ type Config struct {
 	// instead of only an accounting entry.
 	Breaker BreakerCfg
 
-	// RecordPerServer additionally samples each server's power draw every
-	// control slot into Result.PerServerPower, for power-topology analysis
-	// (internal/topology).
-	RecordPerServer bool
-
 	// Faults, when non-nil, injects infrastructure failures from a scripted
 	// or generated schedule (internal/faults): server crashes, battery
 	// faults, telemetry corruption, DVFS actuation faults, firewall
 	// outages. The defenses actuate on the faulted telemetry; the physical
 	// ledgers (breaker, energy, thermal) always see the true draw.
 	Faults *faults.Config
-
-	// Net tunes the delivery timeout/retry/backoff machinery that engages
-	// when Faults carries network-condition windows. The zero value means
-	// the documented defaults; it is inert without network windows.
-	Net NetPolicy
 
 	// Observer, when non-nil, receives the structured sim-time event stream
 	// (request lifecycle, defense actuations, breaker/thermal/firewall/fault
@@ -239,9 +193,6 @@ func (c *Config) Validate() error {
 		if c.Breaker.RatingFrac < 0 || c.Breaker.ToleranceSec < 0 || c.Breaker.RepairSec < 0 {
 			return fmt.Errorf("core: negative breaker parameter")
 		}
-	}
-	if c.Net.Attempts < 0 || c.Net.TimeoutSec < 0 || c.Net.BackoffSec < 0 || c.Net.JitterFrac < 0 {
-		return fmt.Errorf("core: negative net policy parameter")
 	}
 	if c.Dope != nil {
 		if err := c.Dope.Validate(); err != nil {

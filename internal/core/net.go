@@ -10,6 +10,19 @@ import (
 	"antidope/internal/workload"
 )
 
+// The delivery policy of the network layer, all in sim-time: each request
+// gets netAttempts delivery tries (re-routed through the balancer each
+// time), each attempt is declared lost or late after netTimeoutSec, and the
+// retry backoff starts at netBackoffSec, doubles per attempt, and spreads by
+// up to netJitterFrac (seeded). It mirrors harness.RetryPolicy's
+// deterministic shape and is consulted only inside network windows.
+const (
+	netAttempts   = 3
+	netTimeoutSec = 1.0
+	netBackoffSec = 0.05
+	netJitterFrac = 0.2
+)
+
 // netRuntime is the delivery layer between the balancer and the servers,
 // built only when the fault schedule carries network-condition windows
 // (faults.Schedule.HasNet). It owns one faults.Link per server and the
@@ -19,7 +32,6 @@ import (
 // run is byte-identical to one without the runtime (the inert-schedule
 // contract, pinned by TestInertFaultScheduleMatchesBaseline).
 type netRuntime struct {
-	pol     NetPolicy
 	links   []*faults.Link
 	backoff *rng.Stream
 }
@@ -27,9 +39,8 @@ type netRuntime struct {
 // newNetRuntime builds the runtime over a schedule with network windows.
 // Every stream is a dedicated split of the run's root, so building the
 // runtime never consumes from — or shifts — any other stream.
-func newNetRuntime(sched *faults.Schedule, servers int, rnd *rng.Stream, pol NetPolicy) *netRuntime {
+func newNetRuntime(sched *faults.Schedule, servers int, rnd *rng.Stream) *netRuntime {
 	n := &netRuntime{
-		pol:     pol.Defaults(),
 		links:   make([]*faults.Link, servers),
 		backoff: rnd.Split("faults/net/backoff"),
 	}
@@ -81,21 +92,21 @@ func (s *Simulation) deliver(now float64, req *workload.Request, attempt int) {
 				})
 			}
 			// The sender only learns of the loss when its timeout lapses.
-			s.netFail(now+s.net.pol.TimeoutSec, req, attempt, int32(sv.ID), "net-loss")
+			s.netFail(now+netTimeoutSec, req, attempt, int32(sv.ID), "net-loss")
 			return
 		}
 		if d := link.DelaySec(now); d > 0 {
-			if d >= s.net.pol.TimeoutSec {
+			if d >= netTimeoutSec {
 				// The delivery would land after the sender gave up on it.
 				s.res.NetTimedOut++
 				if s.obs != nil {
 					s.obs.Emit(obs.Event{
 						T: now, Kind: obs.KindNetTimeout, Server: int32(sv.ID),
 						Class: int32(req.Class), ID: req.ID,
-						A: s.net.pol.TimeoutSec, B: float64(attempt),
+						A: netTimeoutSec, B: float64(attempt),
 					})
 				}
-				s.netFail(now+s.net.pol.TimeoutSec, req, attempt, int32(sv.ID), "net-timeout")
+				s.netFail(now+netTimeoutSec, req, attempt, int32(sv.ID), "net-timeout")
 				return
 			}
 			if s.obs != nil {
@@ -139,7 +150,7 @@ func (s *Simulation) netFail(knownAt float64, req *workload.Request, attempt int
 		req.DropReason = reason
 		s.recordDrop(req, req.ArriveAt >= s.cfg.WarmupSec)
 	}
-	if attempt+1 >= s.net.pol.Attempts {
+	if attempt+1 >= netAttempts {
 		drop()
 		return
 	}
@@ -149,8 +160,8 @@ func (s *Simulation) netFail(knownAt float64, req *workload.Request, attempt int
 	if exp > 30 {
 		exp = 30
 	}
-	back := s.net.pol.BackoffSec * float64(int64(1)<<uint(exp)) *
-		(1 + s.net.pol.JitterFrac*s.net.backoff.Float64())
+	back := netBackoffSec * float64(int64(1)<<uint(exp)) *
+		(1 + netJitterFrac*s.net.backoff.Float64())
 	at := knownAt + back
 	if at >= s.cfg.Horizon {
 		drop()

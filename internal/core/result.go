@@ -25,9 +25,6 @@ type Result struct {
 	Battery stats.Series
 	VFRed   stats.Series
 	Freq    stats.Series
-	// PerServerPower holds one series per server, sampled every control
-	// slot, when Config.RecordPerServer is set.
-	PerServerPower []stats.Series
 
 	// LatencyLegit / LatencyAttack are end-to-end response times of
 	// completed requests by origin.

@@ -169,7 +169,7 @@ func (s *Simulation) init(cfg Config) error {
 		s.flt = newFaultRuntime(sched, len(cl.Servers), s.rnd.Split("faults/sensor"))
 		s.env.Telemetry = s.flt.sensor
 		if sched.HasNet() {
-			s.net = newNetRuntime(sched, len(cl.Servers), s.rnd, cfg.Net)
+			s.net = newNetRuntime(sched, len(cl.Servers), s.rnd)
 			// Telemetry reads ride the same degraded network: the defense's
 			// power readings lag, drop, and blind with the link faults.
 			s.flt.sensor.AttachNet(sched, s.rnd.Split("faults/net/telemetry"))
@@ -690,14 +690,6 @@ func (s *Simulation) sample(now float64) {
 	s.res.Battery.Add(now, s.cl.UPS.SoC())
 	s.res.VFRed.Add(now, s.cl.MeanVFReduction())
 	s.res.Freq.Add(now, float64(s.cl.MeanFreq()))
-	if s.cfg.RecordPerServer {
-		if s.res.PerServerPower == nil {
-			s.res.PerServerPower = make([]stats.Series, len(s.cl.Servers))
-		}
-		for i, sv := range s.cl.Servers {
-			s.res.PerServerPower[i].Add(now, sv.PowerNow())
-		}
-	}
 }
 
 func (s *Simulation) recordCompletion(req *workload.Request) {

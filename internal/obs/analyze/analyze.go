@@ -120,8 +120,10 @@ type Report struct {
 	Storms    []Storm
 }
 
-// Run analyzes one event stream in insertion (= simulation) order.
-func Run(events []obs.Event, cfg Config) *Report {
+// Run analyzes one event stream in insertion (= simulation) order. It fails
+// only when the retry-storm fold would exceed the offline replay bound of
+// obs.Timeline.Replay (a corrupt or hostile capture).
+func Run(events []obs.Event, cfg Config) (*Report, error) {
 	cfg = cfg.defaults()
 	rep := &Report{
 		Config:     cfg,
@@ -137,8 +139,11 @@ func Run(events []obs.Event, cfg Config) *Report {
 	rep.Detection = detection(events, rep.Attacks)
 	rep.Overshoot = overshoot(events, cfg.BreakerLimitW)
 	rep.DVFS = dvfsLatency(events)
-	rep.Storms = storms(events, cfg)
-	return rep
+	var err error
+	if rep.Storms, err = storms(events, cfg); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // attackWindows reconstructs the ground-truth windows from the markers.
@@ -373,11 +378,13 @@ func nearestRank(sorted []float64, q float64) float64 {
 // storms folds per-link retries into fixed windows and merges consecutive
 // windows at or above the threshold into maximal storm runs, ordered by
 // link then start.
-func storms(events []obs.Event, cfg Config) []Storm {
+func storms(events []obs.Event, cfg Config) ([]Storm, error) {
 	tl := obs.NewTimeline(cfg.WindowSec, 0)
 	for _, ev := range events {
 		if ev.Kind == obs.KindNetRetry {
-			tl.Add(ev)
+			if err := tl.Replay(ev); err != nil {
+				return nil, err
+			}
 		}
 	}
 	var out []Storm
@@ -406,5 +413,5 @@ func storms(events []obs.Event, cfg Config) []Storm {
 		}
 		flush(len(row))
 	}
-	return out
+	return out, nil
 }

@@ -2,7 +2,9 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"antidope/internal/obs"
@@ -17,7 +19,7 @@ func TestAttackWindows(t *testing.T) {
 		{T: 10, Kind: obs.KindAttackOn, Class: -1, Label: "dope"},
 		{T: 50, Kind: obs.KindAttackOff, Label: "flood"},
 	}
-	rep := Run(evs, Config{})
+	rep := mustRun(t, evs, Config{})
 	if len(rep.Attacks) != 2 {
 		t.Fatalf("got %d attacks, want 2", len(rep.Attacks))
 	}
@@ -42,7 +44,7 @@ func TestDetectionLag(t *testing.T) {
 		{T: 9, Kind: obs.KindFirewallBan}, // only the first per channel counts
 		{T: 12, Kind: obs.KindTokenDeny},
 	}
-	d := Run(evs, Config{}).Detection
+	d := mustRun(t, evs, Config{}).Detection
 	if d.AttackStartS != 5 { //lint:allow floateq -- marker timestamps flow verbatim
 		t.Fatalf("attack start = %v, want 5", d.AttackStartS)
 	}
@@ -58,7 +60,7 @@ func TestDetectionLag(t *testing.T) {
 }
 
 func TestDetectionWithoutAttacks(t *testing.T) {
-	d := Run([]obs.Event{{T: 1, Kind: obs.KindFirewallBan}}, Config{}).Detection
+	d := mustRun(t, []obs.Event{{T: 1, Kind: obs.KindFirewallBan}}, Config{}).Detection
 	if !math.IsNaN(d.AttackStartS) || !math.IsNaN(d.FirstBanS) || !math.IsNaN(d.LagS) {
 		t.Fatalf("no-attack capture must leave detection NaN: %+v", d)
 	}
@@ -71,7 +73,7 @@ func TestOvershoot(t *testing.T) {
 	for i, p := range []float64{100, 350, 400, 250, 350} {
 		evs = append(evs, obs.Event{T: float64(i), Kind: obs.KindSample, A: p})
 	}
-	o := Run(evs, Config{BreakerLimitW: 300}).Overshoot
+	o := mustRun(t, evs, Config{BreakerLimitW: 300}).Overshoot
 	if o.Samples != 5 || o.PeakW != 400 { //lint:allow floateq -- exact fold of exact samples
 		t.Fatalf("samples/peak wrong: %+v", o)
 	}
@@ -86,7 +88,7 @@ func TestOvershoot(t *testing.T) {
 }
 
 func TestOvershootDisabled(t *testing.T) {
-	o := Run([]obs.Event{{T: 0, Kind: obs.KindSample, A: 1000}}, Config{}).Overshoot
+	o := mustRun(t, []obs.Event{{T: 0, Kind: obs.KindSample, A: 1000}}, Config{}).Overshoot
 	if o.LimitW != 0 || o.Samples != 0 || o.AreaJ != 0 {
 		t.Fatalf("limit 0 must disable the analysis: %+v", o)
 	}
@@ -107,7 +109,7 @@ func TestDVFSLatency(t *testing.T) {
 		{T: 6, Kind: obs.KindFreqChange, Server: 1, B: 3.5},
 		{T: 7, Kind: obs.KindDVFSCommand, Server: 2, B: 1.5}, // never lands
 	}
-	v := Run(evs, Config{}).DVFS
+	v := mustRun(t, evs, Config{}).DVFS
 	if v.Issued != 3 || v.Landed != 1 || v.Pending != 2 {
 		t.Fatalf("issued/landed/pending = %d/%d/%d, want 3/1/2", v.Issued, v.Landed, v.Pending)
 	}
@@ -129,7 +131,7 @@ func TestStorms(t *testing.T) {
 	emit(3, 2.0, 7) // window 2: over
 	emit(3, 4.0, 5) // window 4: separate storm after a quiet window
 	emit(5, 1.0, 4) // under threshold
-	storms := Run(evs, Config{WindowSec: 1, StormRetries: 5}).Storms
+	storms := mustRun(t, evs, Config{WindowSec: 1, StormRetries: 5}).Storms
 	if len(storms) != 2 {
 		t.Fatalf("got %d storms, want 2: %+v", len(storms), storms)
 	}
@@ -140,6 +142,49 @@ func TestStorms(t *testing.T) {
 	s1 := storms[1]
 	if s1.Link != 3 || s1.StartS != 4 || s1.EndS != 5 || s1.Retries != 5 { //lint:allow floateq -- window edges are exact multiples
 		t.Errorf("second storm wrong: %+v", s1)
+	}
+}
+
+// mustRun analyzes a capture that is well inside the replay bound.
+func mustRun(t testing.TB, evs []obs.Event, cfg Config) *Report {
+	t.Helper()
+	rep, err := Run(evs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestRejectsUnboundedCaptures runs crafted event CSVs through the
+// tracereport path: parse, analyze, rebuild the timeline. The first three
+// once grew a window or link slice to their stamp or link and died out of
+// memory; every one must now fail at some step with an error.
+func TestRejectsUnboundedCaptures(t *testing.T) {
+	const header = "t,kind,server,class,id,a,b,label\n"
+	spread := header // under every single bound, past the total-cell bound
+	for link := 0; link*(1<<19) <= 1<<22; link++ {
+		spread += fmt.Sprintf("524287,net-retry,%d,0,1,0,0,x\n", link)
+	}
+	for _, in := range []string{
+		header + "1e12,net-retry,0,0,1,0,0,x\n",
+		header + "1,net-retry,2000000000,0,1,0,0,x\n",
+		header + "1,req-arrive,0,0,1,0,0,x\n1e12,req-arrive,0,0,2,0,0,x\n",
+		header + "1e300,req-arrive,0,0,1,0,0,x\n",
+		header + "NaN,req-arrive,0,0,1,0,0,x\n",
+		header + "-1,req-arrive,0,0,1,0,0,x\n",
+		spread,
+	} {
+		events, err := obs.ParseCSVEvents(strings.NewReader(in))
+		if err == nil {
+			_, err = Run(events, Config{})
+		}
+		tl := obs.NewTimeline(0, 0)
+		for i := 0; err == nil && i < len(events); i++ {
+			err = tl.Replay(events[i])
+		}
+		if err == nil {
+			t.Errorf("%.80q: analyzed and rebuilt %d windows, want an error", in, len(tl.Windows()))
+		}
 	}
 }
 
@@ -157,10 +202,10 @@ func TestNearestRank(t *testing.T) {
 // report renders, is byte-stable, and spells every absent signal "-".
 func TestEmptyCaptureReport(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := Run(nil, Config{}).WriteText(&a); err != nil {
+	if err := mustRun(t, nil, Config{}).WriteText(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(nil, Config{}).WriteText(&b); err != nil {
+	if err := mustRun(t, nil, Config{}).WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -200,6 +245,8 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(evs, cfg)
+		if _, err := Run(evs, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func capture(t testing.TB, cfg core.Config) []obs.Event {
 // renderReport analyzes one capture with the golden config.
 func renderReport(t testing.TB, events []obs.Event) []byte {
 	t.Helper()
-	rep := Run(events, Config{BreakerLimitW: breakerLimitW})
+	rep := mustRun(t, events, Config{BreakerLimitW: breakerLimitW})
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestFloodReportGolden(t *testing.T) {
 		t.Fatal("two independent flood captures render different reports")
 	}
 
-	rep := Run(events, Config{BreakerLimitW: breakerLimitW})
+	rep := mustRun(t, events, Config{BreakerLimitW: breakerLimitW})
 	if len(rep.Attacks) == 0 || rep.Attacks[0].Label != "flood" {
 		t.Fatalf("flood attack window missing: %+v", rep.Attacks)
 	}
@@ -159,7 +159,7 @@ func TestFaultReportGolden(t *testing.T) {
 		t.Fatal("two independent fault captures render different reports")
 	}
 
-	rep := Run(events, Config{BreakerLimitW: breakerLimitW})
+	rep := mustRun(t, events, Config{BreakerLimitW: breakerLimitW})
 	if len(rep.Storms) == 0 {
 		t.Errorf("lossy link produced no retry storms")
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -92,6 +93,10 @@ func parseCSVLine(s string, labels map[string]string) (Event, error) {
 	t, err := strconv.ParseFloat(parts[0], 64)
 	if err != nil {
 		return Event{}, fmt.Errorf("bad t %q: %v", parts[0], err)
+	}
+	// Sim-time starts at zero and is always finite.
+	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return Event{}, fmt.Errorf("t %q is not a finite non-negative time", parts[0])
 	}
 	kind, ok := kindIndex[parts[1]]
 	if !ok {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -79,6 +80,9 @@ type Timeline struct {
 	// Retries with no routable link (Server < 0) count only in the
 	// window's NetRetries total.
 	linkRetries [][]uint64
+	// replayCells counts the linkRetries rows and cells grown by Replay,
+	// checked against maxReplayWindows.
+	replayCells int
 }
 
 // NewTimeline builds a timeline with the given window width and SLA bound
@@ -126,6 +130,7 @@ func (tl *Timeline) Reset() {
 		clear(tl.linkRetries[i])
 		tl.linkRetries[i] = tl.linkRetries[i][:0]
 	}
+	tl.replayCells = 0
 }
 
 // at returns the window holding sim-time t, materializing windows up to it.
@@ -201,6 +206,43 @@ func (tl *Timeline) linkRetry(link, win int) {
 	}
 	row[win]++
 	tl.linkRetries[link] = row
+}
+
+// maxReplayWindows bounds what Replay may materialize from a captured
+// stream: this many windows, and this many per-link rows plus retry cells.
+// 1<<22 one-second windows is 48 days of sim time, far past any capture;
+// like trace.maxSamples it turns a corrupt or hostile stamp or link into an
+// error instead of an out-of-memory crash. The live bus needs no bound: its
+// stamps and links come from the simulator itself.
+const maxReplayWindows = 1 << 22
+
+// Replay folds one event of a captured stream like Add, but returns an
+// error instead of growing the timeline past maxReplayWindows — the bounded
+// offline rebuild behind cmd/tracereport and the analyzer.
+func (tl *Timeline) Replay(ev Event) error {
+	// Compare in float: int(t/width) is implementation-defined past the
+	// int range, and NaN fails every comparison.
+	if q := ev.T / tl.width; !(q < maxReplayWindows) {
+		return fmt.Errorf("obs: event at t=%g needs window %g of %gs, past the replay limit of %d windows",
+			ev.T, q, tl.width, maxReplayWindows)
+	}
+	if ev.Kind == KindNetRetry && ev.Server >= 0 {
+		link := int(ev.Server)
+		grow := tl.WindowIndex(ev.T) + 1
+		if link < len(tl.linkRetries) {
+			grow -= len(tl.linkRetries[link])
+		} else {
+			grow += link + 1 - len(tl.linkRetries) // the new rows themselves
+		}
+		if grow > 0 {
+			if tl.replayCells += grow; tl.replayCells > maxReplayWindows {
+				return fmt.Errorf("obs: net-retry on link %d at t=%g grows the per-link rows past the replay limit of %d cells",
+					link, ev.T, maxReplayWindows)
+			}
+		}
+	}
+	tl.Add(ev)
+	return nil
 }
 
 // WriteJSON renders the timeline as a byte-reproducible JSON document

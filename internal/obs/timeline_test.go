@@ -212,7 +212,9 @@ func TestTimelineOfflineReplayMatchesLive(t *testing.T) {
 	}
 	replay := NewTimeline(1.0, 0.25)
 	for _, ev := range events {
-		replay.Add(ev)
+		if err := replay.Replay(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var a, bb bytes.Buffer
 	if err := live.WriteJSON(&a); err != nil {
