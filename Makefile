@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-trace fuzz-events fuzz-bench coverfloor chaos verify bench
+.PHONY: build vet lint lint-baseline test race fuzz fuzz-scenario fuzz-trace fuzz-events fuzz-bench fuzz-engine coverfloor chaos verify bench
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,12 @@ fuzz-events:
 fuzz-bench:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./cmd/benchregress
 
+# Event-engine fuzz smoke: random Schedule/Cancel/Reschedule/Step/DrainAt/
+# RunUntil sequences (stale and zero handles included) against a naive
+# sorted-slice reference; firing order, Pending() and handle state must match.
+fuzz-engine:
+	$(GO) test -run='^$$' -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/simtime
+
 # Statement-coverage floor for the scenario DSL front end; mirrors the CI
 # gate so a lost test trips locally too.
 coverfloor:
@@ -84,7 +90,9 @@ verify: build lint race
 # See EXPERIMENTS.md "Profiling and benchmark regression".
 bench:
 	{ \
-	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkDrainBatch' -benchmem -benchtime=2s ./internal/simtime; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkScheduleFireSteady|BenchmarkScheduleCancel|BenchmarkScheduleReschedule|BenchmarkDrainBatch' -benchmem -benchtime=2s ./internal/simtime; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkGenerator|BenchmarkMixNext' -benchmem -benchtime=2s ./internal/workload; \
+	  $(GO) test -run='^$$' -bench 'BenchmarkRouteSplit' -benchmem -benchtime=2s ./internal/netlb; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAdvance$$|BenchmarkNextCompletion|BenchmarkPowerAt|BenchmarkAdvanceCompleting' -benchmem -benchtime=2s ./internal/server; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkModelPower$$|BenchmarkModelPowerLadder|BenchmarkTablePowerLadder' -benchmem -benchtime=2s ./internal/power; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkPercentile' -benchmem -benchtime=2s ./internal/stats; \

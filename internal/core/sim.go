@@ -513,22 +513,20 @@ func (s *Simulation) handleArrival(now float64, req *workload.Request) {
 }
 
 // scheduleCompletion re-arms the server's next completion event. Each
-// server has at most one live completion event: the previous one is
-// cancelled outright (the engine reclaims it) instead of being left in the
-// queue as a version-stamped tombstone. Cancel on an already-fired handle
-// is inert, so the callback may re-arm its own server freely.
+// server has at most one pending completion event, re-keyed in place by
+// Reschedule (or scheduled afresh once it has fired) and cancelled when the
+// server has nothing left to finish before the horizon. Either way the
+// engine's seq consumption matches cancel-then-schedule, so replay bytes
+// do not depend on which path ran.
 func (s *Simulation) scheduleCompletion(sv *server.Server) {
-	s.compEvs[sv.ID].Cancel()
 	at, ok := sv.NextCompletion()
-	if !ok {
+	if !ok || at > s.cfg.Horizon {
+		// Past the horizon the finish() drain handles it; keeping the
+		// event would just die at the horizon anyway.
+		s.compEvs[sv.ID].Cancel()
 		return
 	}
-	if at > s.cfg.Horizon {
-		// Let the finish() drain handle it; keeping the event would just
-		// die at the horizon anyway.
-		return
-	}
-	s.compEvs[sv.ID] = s.eng.Schedule(at, s.compFns[sv.ID])
+	s.compEvs[sv.ID] = s.eng.Reschedule(s.compEvs[sv.ID], at, s.compFns[sv.ID])
 }
 
 // controlTick is the per-slot power-management loop.

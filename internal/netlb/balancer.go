@@ -59,6 +59,10 @@ type Balancer struct {
 	routedSuspect  uint64
 	routedInnocent uint64
 
+	// poolBuf backs the PDF sub-pool Route builds per request, reused so
+	// the split path allocates nothing in steady state.
+	poolBuf []*server.Server
+
 	obs obs.Observer
 }
 
@@ -156,6 +160,8 @@ func (b *Balancer) SplitActive() bool {
 // sub-pool is entirely down or unreachable, the request spills onto the
 // whole cluster (availability beats isolation for the duration of the
 // fault); Route returns nil only when every server is down or unreachable.
+//
+//hot:allocfree
 func (b *Balancer) Route(req *workload.Request) *server.Server {
 	pool := b.servers
 	split := false
@@ -164,7 +170,7 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 		if b.profiler != nil && b.profiler.Observe(req.ArriveAt, req) {
 			suspect = true
 		}
-		sub := poolOf(b.servers, suspect)
+		sub := b.poolOf(suspect)
 		if len(sub) > 0 {
 			pool = sub
 			split = true
@@ -185,13 +191,18 @@ func (b *Balancer) Route(req *workload.Request) *server.Server {
 	return sv
 }
 
-func poolOf(servers []*server.Server, suspect bool) []*server.Server {
-	var out []*server.Server
-	for _, s := range servers {
+// poolOf returns the servers whose Suspect mark matches, in cluster
+// order. The slice aliases poolBuf and is valid until the next call.
+//
+//hot:allocfree
+func (b *Balancer) poolOf(suspect bool) []*server.Server {
+	out := b.poolBuf[:0]
+	for _, s := range b.servers {
 		if s.Suspect == suspect {
-			out = append(out, s)
+			out = append(out, s) //lint:allow hotalloc -- amortized: grows to the cluster size once, then reused
 		}
 	}
+	b.poolBuf = out
 	return out
 }
 

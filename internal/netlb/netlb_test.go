@@ -266,9 +266,33 @@ func BenchmarkRouteSplit(b *testing.B) {
 	bal := MustNew(servers, LeastLoaded)
 	bal.SetSuspectList(BuildSuspectList(0.5))
 	r := reqFor(workload.CollaFilt)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bal.Route(r)
+	}
+}
+
+// TestRouteSplitAllocFree pins the PDF split at zero allocations per
+// routed request once the balancer's sub-pool buffer has grown, for both
+// the suspect and the innocent pool.
+func TestRouteSplitAllocFree(t *testing.T) {
+	servers := pool(8)
+	servers[0].Suspect = true
+	servers[1].Suspect = true
+	bal := MustNew(servers, LeastLoaded)
+	bal.SetSuspectList(BuildSuspectList(0.5))
+	suspect, innocent := reqFor(workload.CollaFilt), reqFor(workload.TextCont)
+	avg := testing.AllocsPerRun(1000, func() {
+		if bal.Route(suspect) == nil || bal.Route(innocent) == nil {
+			t.Fatal("no destination")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Route with the split on allocates %.2f/op, want 0", avg)
+	}
+	if bal.RoutedSuspect() == 0 || bal.RoutedInnocent() == 0 {
+		t.Fatalf("split routed %d suspect / %d innocent, want both > 0", bal.RoutedSuspect(), bal.RoutedInnocent())
 	}
 }
 

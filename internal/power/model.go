@@ -167,7 +167,14 @@ func (t *Table) Model() Model { return t.model }
 // the analytic path because Model.Power only depends on f through
 // Clamp(f) = Level(Index(f)), which is exactly how the table is indexed.
 func (t *Table) Power(f GHz, mix []IndexedComponent) Watts {
-	idx := t.model.Ladder.Index(f)
+	return t.PowerIdx(t.model.Ladder.Index(f), mix)
+}
+
+// PowerIdx is Power at ladder level idx, for callers that already hold
+// the level's index (idx must be in [0, Levels())): it skips the rounding
+// in Ladder.Index, and Power(f, mix) == PowerIdx(Ladder.Index(f), mix)
+// bit for bit.
+func (t *Table) PowerIdx(idx int, mix []IndexedComponent) Watts {
 	p := t.idle[idx]
 	row := t.powRel[idx]
 	for _, c := range mix {

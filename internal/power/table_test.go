@@ -7,8 +7,9 @@ import (
 
 // TestTableMatchesModelBitwise is the determinism contract of the memoized
 // power path: for every ladder level, off-grid and out-of-range frequency,
-// and a spread of mixes (including clamped utilizations), Table.Power must
-// return the exact bits Model.Power returns.
+// and a spread of mixes (including clamped utilizations), Table.Power and
+// Table.PowerIdx at the frequency's ladder index must return the exact bits
+// Model.Power returns.
 func TestTableMatchesModelBitwise(t *testing.T) {
 	m := DefaultModel()
 	tab := NewTable(m, benchExps)
@@ -53,6 +54,11 @@ func TestTableMatchesModelBitwise(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Table.Power(%v) = %x, Model.Power = %x (mix %v)",
 					f, math.Float64bits(got), math.Float64bits(want), mix)
+			}
+			idx := m.Ladder.Index(f)
+			if got := tab.PowerIdx(idx, imix); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Table.PowerIdx(%d) = %x, Model.Power(%v) = %x (mix %v)",
+					idx, math.Float64bits(got), f, math.Float64bits(want), mix)
 			}
 		}
 	}

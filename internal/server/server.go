@@ -72,8 +72,10 @@ type Server struct {
 	// is O(classes) instead of an O(active) rescan per version bump.
 	clsCounts [workload.NumClasses]int
 	// speedTab[c] is pow(Rel(freq), beta_c) at the current frequency — the
-	// demand-depletion factor of class c — recomputed only on CapFreq.
+	// demand-depletion factor of class c — and freqIdx is freq's ladder
+	// index; both are recomputed only when freq changes.
 	speedTab [workload.NumClasses]float64
+	freqIdx  int
 	// ptab memoizes the power model's frequency terms per ladder level,
 	// with one exponent slot per class (Exp = int(class)).
 	ptab *power.Table
@@ -130,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 		alphas[c] = p.PowerAlpha
 	}
 	s.ptab = power.NewTable(cfg.Model, alphas[:])
-	s.refreshSpeedTab()
+	s.refreshFreqCache()
 	return s, nil
 }
 
@@ -143,10 +145,12 @@ func MustNew(cfg Config) *Server {
 	return s
 }
 
-// refreshSpeedTab recomputes the per-class depletion factors for the
-// current frequency. This is the only math.Pow site left on the simulation
-// path, and it runs per frequency change, not per request.
-func (s *Server) refreshSpeedTab() {
+// refreshFreqCache recomputes the per-class depletion factors and the
+// ladder index for the current frequency. This is the only math.Pow (and
+// Ladder.Index rounding) site left on the simulation path, and it runs per
+// frequency change — New, CapFreq, Recover — not per request.
+func (s *Server) refreshFreqCache() {
+	s.freqIdx = s.Model.Ladder.Index(s.freq)
 	rel := s.Model.Ladder.Rel(s.freq)
 	for c := range s.perf {
 		s.speedTab[c] = math.Pow(rel, s.perf[c].beta)
@@ -367,7 +371,7 @@ func (s *Server) PowerNow() power.Watts {
 		return 0
 	}
 	if s.powerDirty {
-		s.lastPower = s.ptab.Power(s.freq, s.mix())
+		s.lastPower = s.ptab.PowerIdx(s.freqIdx, s.mix())
 		s.powerDirty = false
 	}
 	return s.lastPower
@@ -404,7 +408,7 @@ func (s *Server) CapFreq(f power.GHz) {
 	s.version++
 	s.powerDirty = true
 	s.freqChangeCnt++
-	s.refreshSpeedTab()
+	s.refreshFreqCache()
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{
 			T: s.lastAdv, Kind: obs.KindFreqChange,
@@ -530,7 +534,7 @@ func (s *Server) Recover(now float64) {
 		old := s.freq
 		s.freq = s.Model.Ladder.Max
 		s.freqChangeCnt++
-		s.refreshSpeedTab()
+		s.refreshFreqCache()
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{
 				T: now, Kind: obs.KindFreqChange,

@@ -189,6 +189,34 @@ func TestPowerAtPrediction(t *testing.T) {
 	}
 }
 
+// TestPowerNowTracksCachedLadderIndex walks a loaded server through every
+// ladder level, an off-grid cap, and a crash/recover, checking that
+// PowerNow (served from the cached ladder index) stays bit-identical to
+// PowerAt(Freq()) (which re-derives the index from the frequency).
+func TestPowerNowTracksCachedLadderIndex(t *testing.T) {
+	s := testServer()
+	s.Advance(0)
+	s.Admit(0, fixedReq(1, workload.CollaFilt, 10))
+	s.Admit(0, fixedReq(2, workload.KMeans, 10))
+	check := func(what string) {
+		t.Helper()
+		if got, want := s.PowerNow(), s.PowerAt(s.Freq()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: PowerNow = %v, PowerAt(%v) = %v", what, got, s.Freq(), want)
+		}
+	}
+	check("new")
+	for i := s.Model.Ladder.Levels() - 1; i >= 0; i-- {
+		s.CapFreq(s.Model.Ladder.Level(i))
+		check("level")
+	}
+	s.CapFreq(s.Model.Ladder.Level(2) + 0.03)
+	check("off-grid cap")
+	s.Crash(0)
+	s.Advance(1)
+	s.Recover(1)
+	check("recover")
+}
+
 func TestEnergyIntegration(t *testing.T) {
 	s := testServer()
 	s.Advance(10) // idle for 10 s at fmax

@@ -4,10 +4,10 @@
 // time never appears anywhere in the simulation.
 //
 // The queue is built for throughput: a 4-ary array heap (shallower than a
-// binary heap, so fewer cache lines per sift), a free-list event pool so
-// steady-state schedule/fire cycles allocate nothing, and lazy cancellation
-// with compaction — cancelled events are skipped when popped, and the heap
-// is rebuilt without them once they outnumber the live events. See
+// binary heap, so fewer cache lines per sift) whose events record their own
+// heap position, so Cancel removes and Reschedule re-keys an event in place
+// in O(log n), and a free-list event pool so steady-state schedule/fire
+// cycles allocate nothing. The heap holds exactly the pending events. See
 // DESIGN.md "Performance model".
 package simtime
 
@@ -21,54 +21,49 @@ type Seconds = float64
 
 // event is the pooled storage behind an Event handle. Events fire in
 // timestamp order; events with equal timestamps fire in scheduling order
-// (seq), which keeps runs reproducible. gen increments every time the
-// struct is recycled, so stale handles from a previous tenancy are inert.
+// (seq), which keeps runs reproducible. idx is the event's slot in the
+// heap while it is queued. gen increments every time the struct is
+// recycled (on fire or cancel), so a handle is pending exactly while its
+// gen matches, and stale handles from a previous tenancy are inert.
 type event struct {
-	at        Seconds
-	seq       uint64
-	gen       uint64
-	fn        func(now Seconds)
-	eng       *Engine
-	cancelled bool
+	at  Seconds
+	seq uint64
+	gen uint64
+	idx int
+	fn  func(now Seconds)
+	eng *Engine
 }
 
 // Event is a cancellation handle for one scheduled callback. Handles are
 // small values; the zero Event is valid and refers to nothing. A handle
-// outlives its event safely: once the event fires or is recycled, Cancel
-// and Pending become no-ops on it.
+// outlives its event safely: once the event fires or is cancelled, Cancel,
+// Pending and Reschedule treat it as referring to nothing.
 type Event struct {
 	ev  *event
 	gen uint64
 }
 
-// Cancel marks the event so it will not fire. Cancelling an already-fired,
-// already-cancelled, or zero event is a no-op — in particular a double
-// Cancel does not corrupt the engine's live-event accounting.
+// Cancel removes the event from the queue so it will not fire. Cancelling
+// an already-fired, already-cancelled, or zero event is a no-op.
 //
 //hot:allocfree
 func (e Event) Cancel() {
-	ev := e.ev
-	if ev == nil || ev.gen != e.gen || ev.cancelled {
+	if !e.Pending() {
 		return
 	}
-	ev.cancelled = true
-	eng := ev.eng
-	eng.live--
-	// Lazily-cancelled events rot in the heap; once they outnumber the
-	// live ones, one O(n) rebuild reclaims them all.
-	if len(eng.events) >= compactMin && len(eng.events)-eng.live > eng.live {
-		eng.compact()
-	}
+	eng := e.ev.eng
+	eng.remove(e.ev.idx)
+	eng.recycle(e.ev)
 }
 
 // Pending reports whether the event is still queued to fire: scheduled,
 // not cancelled, not yet fired.
 func (e Event) Pending() bool {
-	return e.ev != nil && e.ev.gen == e.gen && !e.ev.cancelled
+	return e.ev != nil && e.ev.gen == e.gen
 }
 
 // At returns the timestamp the event is scheduled for, or 0 once it has
-// fired, been cancelled and reclaimed, or for the zero handle.
+// fired or been cancelled, or for the zero handle.
 func (e Event) At() Seconds {
 	if !e.Pending() {
 		return 0
@@ -76,23 +71,17 @@ func (e Event) At() Seconds {
 	return e.ev.at
 }
 
-// compactMin is the queue size below which compaction is not worth the
-// rebuild; tiny queues recycle cancelled events at pop time anyway.
-const compactMin = 64
-
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
 	now   Seconds
 	seq   uint64
 	fired uint64
 
-	// events is a 4-ary min-heap ordered by (at, seq). Cancelled events
-	// stay in place until popped or compacted away.
+	// events is a 4-ary min-heap ordered by (at, seq) holding exactly the
+	// pending events; events[i].idx == i.
 	events []*event
-	// live counts non-cancelled queued events, making Pending() O(1).
-	live int
-	// free is the event pool: structs recycled on fire, cancelled-pop and
-	// compaction, reused by the next Schedule.
+	// free is the event pool: structs recycled on fire and cancel, reused
+	// by the next Schedule.
 	free []*event
 }
 
@@ -108,20 +97,29 @@ func (e *Engine) Now() Seconds { return e.now }
 // determinism probe for tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of live (non-cancelled) events still queued.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still queued.
+func (e *Engine) Pending() int { return len(e.events) }
 
-// Schedule queues fn to run at the given absolute time. Scheduling in the
-// past (before Now) panics: that is always a simulator bug, and silently
-// clamping it would hide causality violations.
+// badAt panics on a timestamp no event may carry. Scheduling in the past
+// (before Now) is always a simulator bug, and silently clamping it would
+// hide causality violations. Kept out of line so the hot callers stay
+// small and its message formatting is not charged to them.
 //
-//hot:allocfree
-func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
+//go:noinline
+func (e *Engine) badAt(at Seconds) {
 	if math.IsNaN(at) {
 		panic("simtime: schedule at NaN")
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %.9f before now %.9f", at, e.now))
+	panic(fmt.Sprintf("simtime: schedule at %.9f before now %.9f", at, e.now))
+}
+
+// Schedule queues fn to run at the given absolute time. A NaN time, or one
+// before Now, panics.
+//
+//hot:allocfree
+func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
+	if !(at >= e.now) { // also catches NaN
+		e.badAt(at)
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -134,11 +132,34 @@ func (e *Engine) Schedule(at Seconds, fn func(now Seconds)) Event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.cancelled = false
 	e.seq++
-	e.live++
-	e.push(ev)
+	e.events = append(e.events, ev)
+	e.siftUp(len(e.events) - 1)
 	return Event{ev: ev, gen: ev.gen}
+}
+
+// Reschedule moves the pending event h to fire fn at the given time,
+// re-keying it in place, and returns h. If h is not pending (fired,
+// cancelled, zero, or from another engine) it schedules a new event
+// instead. Either way the event takes the next scheduling sequence number,
+// exactly as Cancel followed by Schedule would, so firing order is the
+// same as that pair's.
+//
+//hot:allocfree
+func (e *Engine) Reschedule(h Event, at Seconds, fn func(now Seconds)) Event {
+	ev := h.ev
+	if !h.Pending() || ev.eng != e {
+		return e.Schedule(at, fn)
+	}
+	if !(at >= e.now) {
+		e.badAt(at)
+	}
+	ev.at = at
+	ev.seq = e.seq
+	ev.fn = fn
+	e.seq++
+	e.fix(ev.idx)
+	return h
 }
 
 // After queues fn to run delay seconds from now.
@@ -146,8 +167,8 @@ func (e *Engine) After(delay Seconds, fn func(now Seconds)) Event {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// recycle returns a popped event struct to the pool. Bumping gen first
-// makes every outstanding handle to it inert.
+// recycle returns an event struct that has left the heap to the pool.
+// Bumping gen first makes every outstanding handle to it inert.
 //
 //hot:allocfree
 func (e *Engine) recycle(ev *event) {
@@ -156,37 +177,20 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// pop removes and returns the earliest live event, recycling any cancelled
-// events it uncovers. It returns nil when the queue has no live events.
-//
-//hot:allocfree
-func (e *Engine) pop() *event {
-	for len(e.events) > 0 {
-		ev := e.popMin()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.live--
-		return ev
-	}
-	return nil
-}
-
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty.
 //
 //hot:allocfree
 func (e *Engine) Step() bool {
-	ev := e.pop()
-	if ev == nil {
+	if len(e.events) == 0 {
 		return false
 	}
+	ev := e.popMin()
 	at, fn := ev.at, ev.fn
 	e.recycle(ev)
 	e.now = at
 	e.fired++
-	fn(e.now)
+	fn(at)
 	return true
 }
 
@@ -196,23 +200,13 @@ func (e *Engine) Step() bool {
 //
 //hot:allocfree
 func (e *Engine) RunUntil(horizon Seconds) {
-	for len(e.events) > 0 {
-		// Peek; recycle cancelled tops without firing.
-		top := e.events[0]
-		if top.cancelled {
-			e.recycle(e.popMin())
-			continue
-		}
-		if top.at > horizon {
-			break
-		}
+	for len(e.events) > 0 && e.events[0].at <= horizon {
 		ev := e.popMin()
-		e.live--
 		at, fn := ev.at, ev.fn
 		e.recycle(ev)
 		e.now = at
 		e.fired++
-		fn(e.now)
+		fn(at)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -234,78 +228,39 @@ func (e *Engine) RunUntil(horizon Seconds) {
 //
 //hot:allocfree
 func (e *Engine) DrainAt(horizon Seconds) (n int, at Seconds) {
-	for len(e.events) > 0 {
-		top := e.events[0]
-		if top.cancelled {
-			e.recycle(e.popMin())
-			continue
+	if len(e.events) == 0 || e.events[0].at > horizon {
+		if e.now < horizon {
+			e.now = horizon
 		}
-		if n == 0 {
-			if top.at > horizon {
-				break
-			}
-			at = top.at
-		} else if top.at != at { //lint:allow floateq -- deliberate: only bit-identical timestamps batch together
-			break
-		}
+		return 0, 0
+	}
+	at = e.events[0].at
+	//lint:allow floateq -- deliberate: only bit-identical timestamps batch together
+	for len(e.events) > 0 && e.events[0].at == at {
 		ev := e.popMin()
-		e.live--
 		fn := ev.fn
 		e.recycle(ev)
 		e.now = at
 		e.fired++
 		n++
-		fn(e.now)
-	}
-	if n == 0 && e.now < horizon {
-		e.now = horizon
+		fn(at)
 	}
 	return n, at
 }
 
 // Reset returns the engine to its initial state — clock at zero, no pending
 // events, counters cleared — while keeping the event pool, so the next
-// tenancy schedules into warm storage. Every queued event (live or
-// cancelled) is recycled; outstanding handles become inert.
+// tenancy schedules into warm storage. Every queued event is recycled;
+// outstanding handles become inert.
 func (e *Engine) Reset() {
-	for _, ev := range e.events {
+	for i, ev := range e.events {
 		e.recycle(ev)
-	}
-	for i := range e.events {
 		e.events[i] = nil
 	}
 	e.events = e.events[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
-	e.live = 0
-}
-
-// compact rebuilds the heap without its cancelled events and recycles them.
-// Live events keep their (at, seq) keys, so the pop order — the only thing
-// the determinism contract pins — is unchanged.
-func (e *Engine) compact() {
-	keep := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cancelled {
-			e.recycle(ev)
-		} else {
-			keep = append(keep, ev)
-		}
-	}
-	// Zero the vacated tail so the backing array stops pinning the moved
-	// pointers twice.
-	for i := len(keep); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = keep
-	// Standard heapify: sift down every internal node, last parent first.
-	// (Guard the small cases: Go truncates -2/arity to 0.)
-	if n := len(keep); n > 1 {
-		for i := (n - 2) / arity; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
 }
 
 // The event heap is 4-ary: children of i are arity*i+1 .. arity*i+arity,
@@ -322,23 +277,7 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the heap property.
-//
-//hot:allocfree
-func (e *Engine) push(ev *event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !less(e.events[i], e.events[parent]) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
-	}
-}
-
-// popMin removes and returns the heap root without looking at cancellation.
+// popMin removes and returns the heap root.
 //
 //hot:allocfree
 func (e *Engine) popMin() *event {
@@ -354,7 +293,56 @@ func (e *Engine) popMin() *event {
 	return root
 }
 
-// siftDown restores the heap property below node i.
+// remove takes the event at heap slot i out of the heap, moving the last
+// event into the hole and restoring the heap property around it.
+//
+//hot:allocfree
+func (e *Engine) remove(i int) {
+	h := e.events
+	n := len(h) - 1
+	h[i] = h[n]
+	h[n] = nil
+	e.events = h[:n]
+	if i < n {
+		e.fix(i)
+	}
+}
+
+// fix restores the heap property after the key of the event at slot i
+// changed in either direction.
+//
+//hot:allocfree
+func (e *Engine) fix(i int) {
+	if i > 0 && less(e.events[i], e.events[(i-1)/arity]) {
+		e.siftUp(i)
+	} else {
+		e.siftDown(i)
+	}
+}
+
+// siftUp moves the event at slot i toward the root until its parent is
+// not greater.
+//
+//hot:allocfree
+func (e *Engine) siftUp(i int) {
+	h := e.events
+	node := h[i]
+	for i > 0 {
+		parent := (i - 1) / arity
+		p := h[parent]
+		if !less(node, p) {
+			break
+		}
+		h[i] = p
+		p.idx = i
+		i = parent
+	}
+	h[i] = node
+	node.idx = i
+}
+
+// siftDown moves the event at slot i toward the leaves until no child is
+// smaller.
 //
 //hot:allocfree
 func (e *Engine) siftDown(i int) {
@@ -367,23 +355,25 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		// Find the smallest child.
-		best := first
+		best, child := first, h[first]
 		last := first + arity
 		if last > n {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if less(h[c], h[best]) {
-				best = c
+			if ev := h[c]; less(ev, child) {
+				best, child = c, ev
 			}
 		}
-		if !less(h[best], node) {
+		if !less(child, node) {
 			break
 		}
-		h[i] = h[best]
+		h[i] = child
+		child.idx = i
 		i = best
 	}
 	h[i] = node
+	node.idx = i
 }
 
 // Ticker repeatedly schedules fn every period, starting at start, until the

@@ -97,7 +97,7 @@ func TestDoubleCancelDoesNotDoubleDecrement(t *testing.T) {
 	a := e.Schedule(1, func(now Seconds) {})
 	e.Schedule(2, func(now Seconds) {})
 	a.Cancel()
-	a.Cancel() // second cancel must not decrement the live counter again
+	a.Cancel() // second cancel must be inert, not remove another event
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("Pending = %d after double cancel, want 1", got)
 	}
@@ -316,9 +316,33 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleReschedule measures the completion re-key pattern: 64
+// servers each hold one pending completion event, every iteration re-keys
+// one of them in place, and every fourth iteration fires the earliest, so
+// the next re-key of that server schedules afresh from its stale handle.
+func BenchmarkScheduleReschedule(b *testing.B) {
+	e := NewEngine()
+	fn := func(now Seconds) {}
+	const servers = 64
+	var comp [servers]Event
+	for j := range comp {
+		comp[j] = e.Schedule(float64(j+1), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % servers
+		comp[j] = e.Reschedule(comp[j], e.Now()+float64(i%7)+0.5, fn)
+		if i%4 == 3 {
+			e.Step()
+		}
+	}
+}
+
 func TestCancelCompactOrdering(t *testing.T) {
-	// Cancel enough events to trigger heap compaction, then verify the
-	// survivors still fire in exact (timestamp, scheduling-order) order.
+	// Cancel three quarters of a large queue out of its middle, then verify
+	// the heap holds exactly the survivors and they still fire in exact
+	// (timestamp, scheduling-order) order.
 	e := NewEngine()
 	var order []int
 	var cancels []Event
@@ -329,8 +353,11 @@ func TestCancelCompactOrdering(t *testing.T) {
 			cancels = append(cancels, ev)
 		}
 	}
-	for _, ev := range cancels {
-		ev.Cancel() // crosses the cancelled > live threshold mid-loop
+	for k, ev := range cancels {
+		ev.Cancel() // each cancel removes its event from the heap at once
+		if got, want := len(e.events), 400-(k+1); got != want || e.Pending() != want {
+			t.Fatalf("after %d cancels heap holds %d entries (Pending %d), want %d", k+1, got, e.Pending(), want)
+		}
 	}
 	if got, want := e.Pending(), 100; got != want {
 		t.Fatalf("Pending = %d, want %d", got, want)
@@ -351,7 +378,7 @@ func TestCancelCompactOrdering(t *testing.T) {
 	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("order[%d] = %d, want %d (compaction broke ordering)", i, order[i], want[i])
+			t.Fatalf("order[%d] = %d, want %d (cancellation broke ordering)", i, order[i], want[i])
 		}
 	}
 }
@@ -366,13 +393,13 @@ func TestCompactionRecyclesIntoPool(t *testing.T) {
 	for _, ev := range evs[:200] {
 		ev.Cancel()
 	}
-	// Compaction must have run: the raw heap can hold at most the live
-	// events plus a sub-majority of cancelled ones.
-	if got := len(e.events); got > 2*e.live {
-		t.Fatalf("heap holds %d entries for %d live events; compaction missing", got, e.live)
+	// Cancellation is eager: the heap holds exactly the pending events, and
+	// every cancelled struct went straight back to the pool.
+	if got := len(e.events); got != e.Pending() || got != 56 {
+		t.Fatalf("heap holds %d entries for %d pending events, want 56", got, e.Pending())
 	}
-	if len(e.free) == 0 {
-		t.Fatal("compaction recycled nothing into the pool")
+	if len(e.free) != 200 {
+		t.Fatalf("pool holds %d structs after 200 cancels, want 200", len(e.free))
 	}
 	e.RunUntil(300)
 	if e.Fired() != 56 {
@@ -411,6 +438,59 @@ func TestCancelAllocBudget(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("schedule+cancel allocates %.2f/op, want <= 1 amortized", avg)
+	}
+}
+
+// TestRescheduleCancelAllocFree pins the steady state of the completion
+// path at exactly zero allocations: re-keying a pending event, re-arming
+// from a fired handle, and schedule+cancel all run on the warm pool.
+func TestRescheduleCancelAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func(now Seconds) {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i), fn)
+	}
+	e.RunUntil(64)
+	h := e.Schedule(65, fn)
+	next := 66.0
+	avg := testing.AllocsPerRun(1000, func() {
+		h = e.Reschedule(h, next, fn) // pending: re-keyed in place
+		e.Step()
+		h = e.Reschedule(h, next+1, fn) // fired: scheduled afresh
+		e.Schedule(next+2, fn).Cancel()
+		next += 2
+	})
+	if avg != 0 {
+		t.Fatalf("reschedule+cancel allocates %.2f/op, want 0", avg)
+	}
+}
+
+func TestRescheduleKeepsHandleAndTakesNewSeq(t *testing.T) {
+	// Re-keying an event to the timestamp of a later-scheduled one must
+	// order it after that one, exactly as Cancel followed by Schedule would.
+	e := NewEngine()
+	var order []string
+	a := e.Schedule(1, func(now Seconds) { order = append(order, "a") })
+	e.Schedule(2, func(now Seconds) { order = append(order, "b") })
+	moved := e.Reschedule(a, 2, func(now Seconds) { order = append(order, "a2") })
+	if moved != a || !a.Pending() || a.At() != 2 {
+		t.Fatalf("Reschedule of a pending event returned %v (pending %v, at %g)", moved, a.Pending(), a.At())
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d after re-key, want 2", e.Pending())
+	}
+	e.RunUntil(3)
+	if len(order) != 2 || order[0] != "b" || order[1] != "a2" {
+		t.Fatalf("fire order %v, want [b a2]", order)
+	}
+	// a has fired: Reschedule on it schedules a new event.
+	fresh := e.Reschedule(a, 4, func(now Seconds) { order = append(order, "c") })
+	if a.Pending() || !fresh.Pending() {
+		t.Fatal("Reschedule of a fired handle did not schedule afresh")
+	}
+	e.RunUntil(5)
+	if len(order) != 3 || order[2] != "c" {
+		t.Fatalf("fire order %v, want [b a2 c]", order)
 	}
 }
 

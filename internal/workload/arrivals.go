@@ -120,8 +120,11 @@ func (g *Generator) Next(horizon float64) (Arrival, bool) {
 // Mix is a set of sources driven together; arrivals across sources merge
 // into one ordered stream.
 type Mix struct {
-	gens    []*Generator
-	pending []*Arrival // one lookahead slot per generator
+	gens []*Generator
+	// pending[i] is generator i's lookahead arrival, valid while has[i];
+	// held by value so advancing the merge allocates nothing.
+	pending []Arrival
+	has     []bool
 }
 
 // NewMix builds a merged arrival stream over the given sources. rateCaps
@@ -134,8 +137,9 @@ func NewMix(sources []Source, rateCaps []float64, factory *Factory, rnd *rng.Str
 	for i, s := range sources {
 		gen := NewGenerator(s, rateCaps[i], factory, rnd.Split(s.Class.String()+string(rune('a'+i%26))+itoa(i)))
 		m.gens = append(m.gens, gen)
-		m.pending = append(m.pending, nil)
 	}
+	m.pending = make([]Arrival, len(m.gens))
+	m.has = make([]bool, len(m.gens))
 	return m
 }
 
@@ -155,23 +159,21 @@ func itoa(i int) string {
 
 // Next returns the earliest arrival across all sources before horizon.
 // The horizon must be non-decreasing across calls.
+//
+//hot:allocfree
 func (m *Mix) Next(horizon float64) (Arrival, bool) {
 	best := -1
 	for i, gen := range m.gens {
-		if m.pending[i] == nil {
-			if a, ok := gen.Next(horizon); ok {
-				cp := a
-				m.pending[i] = &cp
-			}
+		if !m.has[i] {
+			m.pending[i], m.has[i] = gen.Next(horizon)
 		}
-		if m.pending[i] != nil && (best == -1 || m.pending[i].At < m.pending[best].At) {
+		if m.has[i] && (best == -1 || m.pending[i].At < m.pending[best].At) {
 			best = i
 		}
 	}
 	if best == -1 {
 		return Arrival{}, false
 	}
-	out := *m.pending[best]
-	m.pending[best] = nil
-	return out, true
+	m.has[best] = false
+	return m.pending[best], true
 }

@@ -356,13 +356,64 @@ func TestQuickGeneratorValid(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerator measures one thinned arrival in steady state: each
+// request goes back to the factory's arena, as the simulation's
+// completion/drop funnels do, so the row excludes request-struct growth.
 func BenchmarkGenerator(b *testing.B) {
 	f := NewFactory(rng.New(1))
 	g := NewGenerator(Source{Class: CollaFilt, Rate: ConstRate(1000), Sources: 10},
 		1000, f, rng.New(2))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(1e12); !ok {
+		a, ok := g.Next(1e12)
+		if !ok {
 			b.Fatal("dried up")
 		}
+		f.Free(a.Req)
+	}
+}
+
+// mixSources is a four-source merge shaped like a flood run: legitimate
+// background traffic plus three attack classes at flood rates.
+var mixSources = []Source{
+	{Class: AliNormal, Origin: Legit, Rate: ConstRate(100), Sources: 10},
+	{Class: CollaFilt, Origin: Attack, Rate: ConstRate(300), Sources: 32},
+	{Class: WordCount, Origin: Attack, Rate: ConstRate(800), Sources: 32},
+	{Class: VolumeFlood, Origin: Attack, Rate: ConstRate(8000), Sources: 32, FirstSource: 1000},
+}
+
+// BenchmarkMixNext measures the merged arrival stream the simulation
+// pulls from on every arrival, in steady state (requests freed back to the
+// arena). The lookahead is held by value, so the row gates at 0 allocs.
+func BenchmarkMixNext(b *testing.B) {
+	f := NewFactory(rng.New(1))
+	caps := []float64{100, 300, 800, 8000}
+	m := NewMix(mixSources, caps, f, rng.New(2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a, ok := m.Next(1e12)
+		if !ok {
+			b.Fatal("dried up")
+		}
+		f.Free(a.Req)
+	}
+}
+
+func TestMixNextAllocFree(t *testing.T) {
+	f := NewFactory(rng.New(1))
+	m := NewMix(mixSources, []float64{100, 300, 800, 8000}, f, rng.New(2))
+	for i := 0; i < 64; i++ { // warm the request arena
+		a, _ := m.Next(1e12)
+		f.Free(a.Req)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		a, ok := m.Next(1e12)
+		if !ok {
+			t.Fatal("dried up")
+		}
+		f.Free(a.Req)
+	})
+	if avg != 0 {
+		t.Fatalf("Mix.Next allocates %.2f/op, want 0", avg)
 	}
 }
