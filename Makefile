@@ -99,5 +99,6 @@ bench:
 	  $(GO) test -run='^$$' -bench 'BenchmarkBusEmit|BenchmarkRecorderRecord|BenchmarkTimelineEmit' -benchmem -benchtime=2s ./internal/obs; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAnalyze' -benchmem -benchtime=2s ./internal/obs/analyze; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkLintLoad' -benchmem -benchtime=5x ./internal/lint; \
+	  $(GO) test -run='^$$' -bench '^BenchmarkRun$$/^fig3-udp$$' -benchmem -benchtime=5x . ; \
 	  $(GO) test -run='^$$' -bench 'BenchmarkAllQuick/sequential' -benchtime=3x . ; \
 	} | $(GO) run ./cmd/benchregress -baseline BENCH_3.json -tolerance $(BENCH_TOLERANCE) -out BENCH_new.json

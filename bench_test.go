@@ -18,6 +18,7 @@ import (
 	"antidope/internal/core"
 	"antidope/internal/defense"
 	"antidope/internal/experiments"
+	"antidope/internal/scenario"
 	"antidope/internal/workload"
 )
 
@@ -383,6 +384,62 @@ func BenchmarkAllQuick(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRun times single whole runs compiled from the scenario library
+// at quick fidelity and reports the host cost per simulated request:
+// ns/req and B/req (heap bytes allocated from core.New to the returned
+// Result, per offered legitimate or attack request). fig3-udp is the
+// UDP-Flood run of Figure 3, 8000 req/s on the unprotected rack.
+func BenchmarkRun(b *testing.B) {
+	for _, tc := range []struct{ name, file, run string }{
+		{"fig3-udp", "scenarios/fig03_attack_profiles.yaml", "UDP-Flood"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sc, err := scenario.Load(tc.file)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var reqs, allocB uint64
+			var m0, m1 runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				// Compile per iteration: each run needs a fresh scheme.
+				b.StopTimer()
+				cfg, err := scenarioRun(sc, tc.run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&m0)
+				b.StartTimer()
+				res, err := core.RunOnce(cfg)
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reqs += res.OfferedLegit + res.OfferedAttack
+				allocB += m1.TotalAlloc - m0.TotalAlloc
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reqs), "ns/req")
+			b.ReportMetric(float64(allocB)/float64(reqs), "B/req")
+		})
+	}
+}
+
+// scenarioRun compiles sc at quick fidelity and returns the named run's
+// configuration.
+func scenarioRun(sc *scenario.Scenario, run string) (core.Config, error) {
+	plan, err := scenario.Compile(sc, opts(0))
+	if err != nil {
+		return core.Config{}, err
+	}
+	for i, m := range plan.Metas {
+		if m.Name == run {
+			return plan.Jobs[i].Config, nil
+		}
+	}
+	return core.Config{}, fmt.Errorf("scenario %s has no run %q", sc.Name, run)
 }
 
 // BenchmarkHeadline reproduces the abstract's 44% / 68.1% comparison.

@@ -40,11 +40,15 @@ type benchEntry struct {
 
 const schema = "antidope-bench/v1"
 
-// benchLine matches one `go test -bench` result line:
+// benchLine matches the head of one `go test -bench` result line, and
+// memStats the -benchmem pair, which go test prints after any units the
+// benchmark added with b.ReportMetric:
 //
-//	BenchmarkName-8   123456   1234 ns/op [  56 B/op   7 allocs/op]
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+//	BenchmarkName-8   123456   1234 ns/op [  0.5 B/req ...] [  56 B/op   7 allocs/op]
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	memStats  = regexp.MustCompile(`\s([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
+)
 
 func main() {
 	var (
@@ -127,14 +131,15 @@ func parse(r io.Reader) (benchFile, error) {
 			continue
 		}
 		var e benchEntry
-		fields := []*float64{&e.NsPerOp}
-		if m[3] != "" {
+		nums, fields := []string{m[2]}, []*float64{&e.NsPerOp}
+		if mm := memStats.FindStringSubmatch(line[len(m[0]):]); mm != nil {
+			nums = append(nums, mm[1], mm[2])
 			fields = append(fields, &e.BytesPerOp, &e.AllocsPerOp)
 		}
 		for i, dst := range fields {
-			v, err := strconv.ParseFloat(m[2+i], 64)
+			v, err := strconv.ParseFloat(nums[i], 64)
 			if err != nil {
-				return out, fmt.Errorf("%s: malformed number %q", m[1], m[2+i])
+				return out, fmt.Errorf("%s: malformed number %q", m[1], nums[i])
 			}
 			*dst = v
 		}

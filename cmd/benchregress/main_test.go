@@ -10,6 +10,7 @@ import (
 const sampleBench = `pkg: antidope/internal/simtime
 BenchmarkScheduleAndRun-8   	 1000000	      1234 ns/op	      56 B/op	       7 allocs/op
 BenchmarkDrainBatch   	  200000	      98.5 ns/op
+BenchmarkRun/fig3-udp-2 	       5	 612597752 ns/op	         0.2651 B/req	       524.4 ns/req	  317545 B/op	     385 allocs/op
 ok  	antidope/internal/simtime	3.210s
 `
 
@@ -23,6 +24,7 @@ func TestParse(t *testing.T) {
 	want := map[string]benchEntry{
 		"BenchmarkScheduleAndRun": {NsPerOp: 1234, BytesPerOp: 56, AllocsPerOp: 7},
 		"BenchmarkDrainBatch":     {NsPerOp: 98.5},
+		"BenchmarkRun/fig3-udp":   {NsPerOp: 612597752, BytesPerOp: 317545, AllocsPerOp: 385},
 	}
 	if !reflect.DeepEqual(got.Benchmarks, want) {
 		t.Errorf("parse = %+v, want %+v", got.Benchmarks, want)

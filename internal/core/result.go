@@ -9,8 +9,13 @@ import (
 	"antidope/internal/workload"
 )
 
-// Result is everything one run measures. Latency samples are restricted to
-// requests that arrived after the warmup.
+// Result is everything one run measures. Latency measurements are
+// restricted to requests that arrived after the warmup.
+//
+// Its memory is O(legitimate completions): only LatencyLegit keeps one
+// value per request, because its percentiles are reported. Attack traffic
+// and the per-class split are plain counters and sums, so a volume flood
+// costs the result nothing per request.
 type Result struct {
 	// SchemeName and BudgetW echo the run configuration.
 	SchemeName string
@@ -26,12 +31,14 @@ type Result struct {
 	VFRed   stats.Series
 	Freq    stats.Series
 
-	// LatencyLegit / LatencyAttack are end-to-end response times of
-	// completed requests by origin.
-	LatencyLegit  *stats.Sample
-	LatencyAttack *stats.Sample
-	// LatencyByClass splits completed-request latency per request class.
-	LatencyByClass map[workload.Class]*stats.Sample
+	// LatencyLegit holds the end-to-end response time of every completed
+	// legitimate request.
+	LatencyLegit *stats.Sample
+	// CompletedByClass and RTSumByClass count the completed requests of
+	// each class (both origins) and sum their response times in completion
+	// order; ClassMeanRT divides them.
+	CompletedByClass [workload.NumClasses]uint64
+	RTSumByClass     [workload.NumClasses]float64
 
 	// OfferedLegit counts legitimate requests that arrived (post-warmup);
 	// CompletedLegit those that finished. Their ratio is the service
@@ -127,6 +134,27 @@ func (r *Result) MeanRT() float64 { return r.LatencyLegit.Mean() }
 
 // TailRT returns the p-th percentile legitimate response time in seconds.
 func (r *Result) TailRT(p float64) float64 { return r.LatencyLegit.Percentile(p) }
+
+// ClassMeanRT returns the mean response time in seconds of the completed
+// requests of class c, or 0 if none completed. It equals the Mean of a
+// stats.Sample fed the same response times in completion order.
+func (r *Result) ClassMeanRT(c workload.Class) float64 {
+	n := r.CompletedByClass[c]
+	if n == 0 {
+		return 0
+	}
+	return r.RTSumByClass[c] / float64(n)
+}
+
+// SLACompliance is the fraction of offered legitimate requests that
+// completed within sloSec. Requests dropped, lost, or still queued at the
+// horizon count against it. A run that offered nothing reports 1.
+func (r *Result) SLACompliance(sloSec float64) float64 {
+	if r.OfferedLegit == 0 {
+		return 1
+	}
+	return float64(r.LatencyLegit.CountAtMost(sloSec)) / float64(r.OfferedLegit)
+}
 
 // PeakPowerW returns the highest sampled cluster draw.
 func (r *Result) PeakPowerW() float64 {

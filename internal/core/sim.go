@@ -200,8 +200,6 @@ func (s *Simulation) init(cfg Config) error {
 		NameplateW:           cl.Nameplate(),
 		Horizon:              cfg.Horizon,
 		LatencyLegit:         &stats.Sample{},
-		LatencyAttack:        &stats.Sample{},
-		LatencyByClass:       make(map[workload.Class]*stats.Sample),
 		DroppedByReason:      make(map[string]uint64),
 		LegitDroppedByReason: make(map[string]uint64),
 	}
@@ -690,6 +688,10 @@ func (s *Simulation) sample(now float64) {
 	s.res.Freq.Add(now, float64(s.cl.MeanFreq()))
 }
 
+// recordCompletion books one finished request. Only a legitimate
+// completion grows the result (LatencyLegit); everything else is counters.
+//
+//hot:allocfree
 func (s *Simulation) recordCompletion(req *workload.Request) {
 	rt := req.ResponseTime()
 	if req.ArriveAt < s.cfg.WarmupSec {
@@ -704,17 +706,12 @@ func (s *Simulation) recordCompletion(req *workload.Request) {
 		s.res.LatencyLegit.Add(rt)
 	} else {
 		s.res.CompletedAtk++
-		s.res.LatencyAttack.Add(rt)
 		if s.dope != nil && req.Source >= dopeSourceBase && req.Demand > 0 {
 			s.epochSlow.Add(rt / req.Demand)
 		}
 	}
-	byClass := s.res.LatencyByClass[req.Class]
-	if byClass == nil {
-		byClass = &stats.Sample{}
-		s.res.LatencyByClass[req.Class] = byClass
-	}
-	byClass.Add(rt)
+	s.res.CompletedByClass[req.Class]++
+	s.res.RTSumByClass[req.Class] += rt
 	s.factory.Free(req)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"antidope/internal/cluster"
-	"antidope/internal/core"
 	"antidope/internal/harness"
 	"antidope/internal/workload"
 )
@@ -120,8 +119,8 @@ func Fig8(o Options) (*Fig8Result, error) {
 	for _, class := range workload.VictimClasses() {
 		base := next()
 		limited := next()
-		baseRT := classRT(base, class)
-		limRT := classRT(limited, class)
+		baseRT := base.ClassMeanRT(class)
+		limRT := limited.ClassMeanRT(class)
 		slow := 1.0
 		if baseRT > 0 {
 			slow = limRT / baseRT
@@ -132,14 +131,6 @@ func Fig8(o Options) (*Fig8Result, error) {
 	out.Table.Notes = append(out.Table.Notes,
 		"paper: Colla-Filt and K-means arouse the most serious degradation.")
 	return out, nil
-}
-
-func classRT(res *core.Result, class workload.Class) float64 {
-	s, ok := res.LatencyByClass[class]
-	if !ok {
-		return 0
-	}
-	return s.Mean()
 }
 
 // HeavyTypesDegradeMost reports whether Colla-Filt and K-means suffer more

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"antidope/internal/cluster"
-	"antidope/internal/core"
 	"antidope/internal/faults"
 	"antidope/internal/harness"
 )
@@ -85,7 +84,7 @@ func Resilience(o Options) (*ResilienceResult, error) {
 		overRow := make([]float64, 0, len(schemes))
 		for _, name := range schemes {
 			r := next()
-			sla := slaCompliance(r, resilienceSLASec)
+			sla := r.SLACompliance(resilienceSLASec)
 			over := r.PeakPowerW() - r.BudgetW
 			if over < 0 {
 				over = 0
@@ -108,22 +107,6 @@ func Resilience(o Options) (*ResilienceResult, error) {
 			"WARNING: expected degradation ordering (Anti-DOPE >= Token >= Shaving >= Capping) violated at top intensity.")
 	}
 	return out, nil
-}
-
-// slaCompliance is the fraction of offered legitimate requests that
-// completed within the SLO. Requests dropped, crash-lost, or still queued
-// at the horizon count against it.
-func slaCompliance(r *core.Result, sloSec float64) float64 {
-	if r.OfferedLegit == 0 {
-		return 1
-	}
-	n := 0
-	for _, v := range r.LatencyLegit.Values() {
-		if v <= sloSec {
-			n++
-		}
-	}
-	return float64(n) / float64(r.OfferedLegit)
 }
 
 // DegradationOrderOK reports whether, at the highest fault intensity, SLA

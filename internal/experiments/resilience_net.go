@@ -87,7 +87,7 @@ func ResilienceNet(o Options) (*ResilienceNetResult, error) {
 		retryRow := make([]uint64, 0, len(schemes))
 		for _, name := range schemes {
 			r := next()
-			sla := slaCompliance(r, resilienceSLASec)
+			sla := r.SLACompliance(resilienceSLASec)
 			over := r.PeakPowerW() - r.BudgetW
 			if over < 0 {
 				over = 0

@@ -562,6 +562,57 @@ func TestIncrementalSortMatchesFullSort(t *testing.T) {
 	}
 }
 
+func TestSampleMeanIgnoresQueryHistory(t *testing.T) {
+	// Summed in sorted order, 0.1+0.2+0.3 rounds differently from the
+	// insertion-order 0.3+0.2+0.1; a quantile query in between must not
+	// change which one Mean reports.
+	var s Sample
+	for _, x := range []float64{0.3, 0.2, 0.1} {
+		s.Add(x)
+	}
+	// (0.3+0.2)+0.1 in float64, over 3; the sorted-order sum would give
+	// 0.20000000000000004. (A constant expression would fold exactly.)
+	const want = 0.19999999999999998
+	before := s.Mean()
+	_ = s.Percentile(50)
+	after := s.Mean()
+	if before != want || after != want { //lint:allow floateq -- the contract is bit-exact
+		t.Fatalf("Mean before query %v, after %v, want %v", before, after, want)
+	}
+}
+
+func TestCountAtMostMatchesScan(t *testing.T) {
+	f := func(raw []float64, probe float64, queryFirst bool) bool {
+		var s Sample
+		for _, x := range raw {
+			if !math.IsNaN(x) {
+				s.Add(x)
+			}
+		}
+		if queryFirst {
+			_ = s.Percentile(50)
+		}
+		want := 0
+		for _, v := range s.Values() {
+			if v <= probe {
+				want++
+			}
+		}
+		// Probe an observation exactly too: ties count as at-most.
+		if s.Len() > 0 && s.CountAtMost(s.Max()) != s.Len() {
+			return false
+		}
+		return s.CountAtMost(probe) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var empty Sample
+	if empty.CountAtMost(1) != 0 {
+		t.Fatal("empty sample counted an observation")
+	}
+}
+
 func TestPercentilesBatch(t *testing.T) {
 	var s Sample
 	for i := 100; i >= 1; i-- {

@@ -129,6 +129,9 @@ type Sample struct {
 	sortedN int
 	// scratch backs the merge pass, retained across queries.
 	scratch []float64
+	// sum is the running total in insertion order, so Mean does not depend
+	// on which quantile queries have reordered xs.
+	sum float64
 }
 
 // Add appends one observation.
@@ -136,6 +139,7 @@ type Sample struct {
 //hot:allocfree
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
+	s.sum += x
 }
 
 // Len returns the number of observations.
@@ -230,16 +234,20 @@ func (s *Sample) Percentiles(ps ...float64) []float64 {
 	return out
 }
 
-// Mean returns the sample mean, or 0 with no samples.
+// Mean returns the sample mean, or 0 with no samples. The sum is taken in
+// insertion order, so the result is the same before and after any query.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.sum / float64(len(s.xs))
+}
+
+// CountAtMost returns how many observations are <= x. It sorts in place and
+// binary-searches, so it copies nothing.
+func (s *Sample) CountAtMost(x float64) int {
+	s.sort()
+	return sort.Search(len(s.xs), func(i int) bool { return s.xs[i] > x })
 }
 
 // Min returns the smallest observation, or 0 with no samples.
