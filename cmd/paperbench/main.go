@@ -6,7 +6,8 @@
 //
 //	paperbench              # full-fidelity suite (minutes)
 //	paperbench -quick       # ~4x shorter windows (CI-grade)
-//	paperbench -fig 17      # a single figure
+//	paperbench -fig 17      # one figure's experiment (the eval grid: Figs. 16, 17, 19)
+//	paperbench -x ablation  # one experiment by its index name
 //	paperbench -parallel 1  # force sequential execution (same output)
 //	paperbench -quick -cpuprofile cpu.pprof   # profile the suite
 //	paperbench -quick -benchjson run.json     # record wall time as bench JSON
@@ -36,8 +37,8 @@ func main() {
 	var (
 		quick    = flag.Bool("quick", false, "shrink observation windows ~4x")
 		seed     = flag.Uint64("seed", 2019, "experiment seed")
-		fig      = flag.Int("fig", 0, "run a single figure (3..19); 0 = all")
-		extra    = flag.String("x", "", "run one beyond-the-paper experiment: ablation|outage|pulse|scale|capacity|detection|robustness|resilience|resilience-net|thermal")
+		fig      = flag.Int("fig", 0, "run the experiment of one paper figure (3..12, 15..19); 0 = all")
+		extra    = flag.String("x", "", "run one experiment by name: "+strings.Join(experimentNames(), "|"))
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker count (output is identical at any setting; 1 = sequential)")
 
 		scenarioFile = flag.String("scenario", "", "run one declarative scenario file (.yaml/.yml/.json; see EXPERIMENTS.md)")
@@ -68,6 +69,11 @@ var errExit = errors.New("exit")
 func run(quick bool, seed uint64, fig int, extra string, parallel int,
 	scenarioFile, scenarioDir, cpuprofile, memprofile, benchjson, traceLabel, traceOut,
 	serveAddr, manifest string) (exitCode int) {
+	exp, err := selectExperiment(fig, extra, scenarioFile, scenarioDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+		return 1
+	}
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -207,13 +213,8 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 	}
 
 	if scenarioFile != "" || scenarioDir != "" {
-		if scenarioFile != "" && scenarioDir != "" {
-			fmt.Fprintln(os.Stderr, "paperbench: -scenario and -scenario-dir are mutually exclusive")
-			return 1
-		}
 		var entries []scenario.Entry
 		if scenarioDir != "" {
-			var err error
 			entries, err = scenario.LoadDir(scenarioDir)
 			check(err)
 		} else {
@@ -235,153 +236,52 @@ func run(quick bool, seed uint64, fig int, extra string, parallel int,
 		return 0
 	}
 
-	if extra != "" {
-		var table *experiments.Table
-		var err error
-		switch extra {
-		case "ablation":
-			var r *experiments.AblationResult
-			r, err = experiments.Ablation(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "outage":
-			var r *experiments.OutageResult
-			r, err = experiments.Outage(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "pulse":
-			var r *experiments.PulseResult
-			r, err = experiments.Pulse(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "scale":
-			var r *experiments.ScaleResult
-			r, err = experiments.Scale(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "capacity":
-			var r *experiments.CapacityResult
-			r, err = experiments.Capacity(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "detection":
-			var r *experiments.DetectionResult
-			r, err = experiments.Detection(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "robustness":
-			var r *experiments.RobustnessResult
-			r, err = experiments.Robustness(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "resilience":
-			var r *experiments.ResilienceResult
-			r, err = experiments.Resilience(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "resilience-net":
-			var r *experiments.ResilienceNetResult
-			r, err = experiments.ResilienceNet(o)
-			if err == nil {
-				table = r.Table
-			}
-		case "thermal":
-			var r *experiments.ThermalResult
-			r, err = experiments.Thermal(o)
-			if err == nil {
-				table = r.Table
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "paperbench: unknown extra experiment %q\n", extra)
-			return 1
-		}
-		check(err)
-		table.Fprint(w)
-		return 0
-	}
-
-	if fig == 0 {
+	if exp == nil {
 		check(experiments.All(o, w))
 		return 0
 	}
-	switch fig {
-	case 3:
-		r, err := experiments.Fig3(o)
-		check(err)
-		r.Table.Fprint(w)
-		fmt.Fprintf(w, "ranking: %v\n", r.Ranking)
-	case 4:
-		r, err := experiments.Fig4(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 5:
-		r, err := experiments.Fig5(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 6:
-		r, err := experiments.Fig6(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 7:
-		r, err := experiments.Fig7(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 8:
-		r, err := experiments.Fig8(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 9:
-		r, err := experiments.Fig9(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 10:
-		r, err := experiments.Fig10(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 11:
-		r, err := experiments.Fig11(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 12:
-		r, err := experiments.Fig12(o)
-		check(err)
-		r.Table.Fprint(w)
-	case 15:
-		r, err := experiments.Fig15(o)
-		check(err)
-		r.TableA.Fprint(w)
-		r.TableB.Fprint(w)
-	case 16, 17, 19:
-		grid, err := experiments.RunEvalGrid(o)
-		check(err)
-		switch fig {
-		case 16:
-			grid.Fig16().Fprint(w)
-		case 17:
-			grid.Fig17().Fprint(w)
-		case 19:
-			grid.Fig19().Fprint(w)
-		}
-	case 18:
-		r, err := experiments.Fig18(o)
-		check(err)
-		r.Table.Fprint(w)
-	default:
-		fmt.Fprintf(os.Stderr, "paperbench: no experiment for figure %d (figures 1/2/13/14 are diagrams)\n", fig)
-		return 1
-	}
+	check(exp.Run(o, w))
 	return 0
+}
+
+// selectExperiment rejects more than one of -fig, -x, -scenario and
+// -scenario-dir, and resolves -fig or -x to its entry of the experiment
+// index. It returns a nil entry when neither is set: the run is the full
+// suite or a scenario.
+func selectExperiment(fig int, name, scenarioFile, scenarioDir string) (*experiments.Experiment, error) {
+	set := 0
+	for _, on := range []bool{fig != 0, name != "", scenarioFile != "", scenarioDir != ""} {
+		if on {
+			set++
+		}
+	}
+	if set > 1 {
+		return nil, errors.New("-fig, -x, -scenario and -scenario-dir are mutually exclusive")
+	}
+	switch {
+	case name != "":
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(experimentNames(), "|"))
+		}
+		return &e, nil
+	case fig != 0:
+		e, ok := experiments.ForFigure(fig)
+		if !ok {
+			return nil, fmt.Errorf("no experiment for figure %d (figures 1/2/13/14 are diagrams)", fig)
+		}
+		return &e, nil
+	}
+	return nil, nil
+}
+
+// experimentNames lists the names -x accepts, in index order.
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments.Index() {
+		names = append(names, e.Name)
+	}
+	return names
 }
 
 // writeManifest dumps the telemetry's run manifest JSON.

@@ -70,6 +70,12 @@ func TestSpecValidate(t *testing.T) {
 		{Name: "a", Class: workload.Class(99), RateRPS: 1, Agents: 1},
 		{Name: "b", Class: workload.CollaFilt, RateRPS: -1, Agents: 1},
 		{Name: "c", Class: workload.CollaFilt, RateRPS: 1, Agents: 0},
+		{Name: "nan-rate", Class: workload.CollaFilt, RateRPS: math.NaN(), Agents: 1},
+		{Name: "inf-rate", Class: workload.CollaFilt, RateRPS: math.Inf(1), Agents: 1},
+		{Name: "nan-start", Class: workload.CollaFilt, RateRPS: 1, Agents: 1, Start: math.NaN()},
+		{Name: "inf-start", Class: workload.CollaFilt, RateRPS: 1, Agents: 1, Start: math.Inf(1)},
+		{Name: "nan-duration", Class: workload.CollaFilt, RateRPS: 1, Agents: 1, Duration: math.NaN()},
+		{Name: "inf-duration", Class: workload.CollaFilt, RateRPS: 1, Agents: 1, Duration: math.Inf(1)},
 	}
 	for _, s := range bad {
 		if s.Validate() == nil {

@@ -8,6 +8,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 
 	"antidope/internal/workload"
 )
@@ -55,6 +56,11 @@ type Spec struct {
 func (s Spec) Validate() error {
 	if !s.Class.Valid() {
 		return fmt.Errorf("attack %q: invalid class", s.Name)
+	}
+	for _, v := range [...]float64{s.RateRPS, s.Start, s.Duration} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("attack %q: non-finite rate or window", s.Name)
+		}
 	}
 	if s.RateRPS < 0 || s.Duration < 0 || s.Start < 0 {
 		return fmt.Errorf("attack %q: negative rate or window", s.Name)

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"antidope/internal/attack"
 	"antidope/internal/cluster"
@@ -153,6 +154,15 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is runnable.
 func (c *Config) Validate() error {
+	// NaN fails every comparison below, so it must be caught first.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"horizon", c.Horizon}, {"slot", c.SlotSec}, {"warmup", c.WarmupSec}, {"normal rate", c.NormalRPS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %g is not finite", f.name, f.v)
+		}
+	}
 	if c.Horizon <= 0 {
 		return fmt.Errorf("core: horizon %g must be positive", c.Horizon)
 	}

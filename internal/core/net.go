@@ -14,8 +14,8 @@ import (
 // gets netAttempts delivery tries (re-routed through the balancer each
 // time), each attempt is declared lost or late after netTimeoutSec, and the
 // retry backoff starts at netBackoffSec, doubles per attempt, and spreads by
-// up to netJitterFrac (seeded). It mirrors harness.RetryPolicy's
-// deterministic shape and is consulted only inside network windows.
+// up to netJitterFrac (seeded). Like the harness's job retry it never
+// waits on wall time, and it is consulted only inside network windows.
 const (
 	netAttempts   = 3
 	netTimeoutSec = 1.0

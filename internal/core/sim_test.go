@@ -34,32 +34,43 @@ func underAttack(scheme defense.Scheme) Config {
 }
 
 func TestValidateCatchesBadConfigs(t *testing.T) {
-	bad := quiet()
-	bad.Horizon = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("zero horizon accepted")
+	base := func() Config {
+		c := quiet()
+		c.Attacks = []attack.Spec{attack.HTTPLoadTool(workload.CollaFilt, 60, 8, 5, 10)}
+		return c
 	}
-	bad = quiet()
-	bad.SlotSec = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("zero slot accepted")
+	if _, err := New(base()); err != nil {
+		t.Fatalf("base config rejected: %v", err)
 	}
-	bad = quiet()
-	bad.WarmupSec = bad.Horizon
-	if _, err := New(bad); err == nil {
-		t.Fatal("warmup >= horizon accepted")
-	}
-	bad = quiet()
-	bad.NormalSources = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("zero sources with traffic accepted")
-	}
-	bad = quiet()
-	d := attack.DefaultDopeConfig()
-	d.Growth = 0.5
-	bad.Dope = &d
-	if _, err := New(bad); err == nil {
-		t.Fatal("bad dope config accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
+		{"zero slot", func(c *Config) { c.SlotSec = 0 }},
+		{"warmup >= horizon", func(c *Config) { c.WarmupSec = c.Horizon }},
+		{"zero sources with traffic", func(c *Config) { c.NormalSources = 0 }},
+		{"bad dope config", func(c *Config) {
+			d := attack.DefaultDopeConfig()
+			d.Growth = 0.5
+			c.Dope = &d
+		}},
+		{"NaN horizon", func(c *Config) { c.Horizon = nan }},
+		{"Inf horizon", func(c *Config) { c.Horizon = inf }},
+		{"NaN slot", func(c *Config) { c.SlotSec = nan }},
+		{"NaN warmup", func(c *Config) { c.WarmupSec = nan }},
+		{"-Inf warmup", func(c *Config) { c.WarmupSec = -inf }},
+		{"NaN normal rate", func(c *Config) { c.NormalRPS = nan }},
+		{"Inf normal rate", func(c *Config) { c.NormalRPS = inf }},
+		{"Inf attack rate", func(c *Config) { c.Attacks[0].RateRPS = inf }},
+		{"NaN attack start", func(c *Config) { c.Attacks[0].Start = nan }},
+	} {
+		bad := base()
+		tc.mutate(&bad)
+		if _, err := New(bad); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -66,6 +66,9 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.MeanPower) == 0 {
+		t.Fatal("fig4 empty")
+	}
 	if !r.MonotoneInRate(3) {
 		t.Fatalf("power not monotone in rate: %v", r.MeanPower)
 	}
@@ -78,6 +81,9 @@ func TestFig5Shape(t *testing.T) {
 	r, err := Fig5(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.CDFs) == 0 {
+		t.Fatal("fig5 empty")
 	}
 	if !r.CollaFiltRightmost() {
 		t.Fatalf("Colla-Filt not rightmost: %v", r.MeanPowerW)
@@ -94,6 +100,9 @@ func TestFig6Shape(t *testing.T) {
 	r, err := Fig6(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.VFReduction) == 0 {
+		t.Fatal("fig6 empty")
 	}
 	if !r.KMeansDeepestCut() {
 		t.Fatalf("K-means not deepest cut: %v", r.At1000)
@@ -132,6 +141,9 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.Availability) == 0 {
+		t.Fatal("fig9 empty")
+	}
 	if !r.AvailabilityDegradesWithBudget() {
 		t.Fatalf("availability did not degrade: %v", r.Availability)
 	}
@@ -141,6 +153,9 @@ func TestFig10Shape(t *testing.T) {
 	r, err := Fig10(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.With) == 0 {
+		t.Fatal("fig10 empty")
 	}
 	if !r.FirewallCutsMedianPower() {
 		t.Fatal("firewall did not cut median power")
@@ -178,6 +193,9 @@ func TestFig15Shape(t *testing.T) {
 	r, err := Fig15(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.PowerUnderAttack.Len() == 0 {
+		t.Fatal("fig15 empty")
 	}
 	if !r.PowerHeld() {
 		t.Fatal("Anti-DOPE failed to hold the budget")
@@ -219,6 +237,9 @@ func TestFig18Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.SoC) == 0 {
+		t.Fatal("fig18 empty")
+	}
 	if !r.AntiDopeKeepsReserve() {
 		t.Fatalf("Anti-DOPE reserve %.3f <= Shaving %.3f",
 			r.MinSoC["Anti-DOPE"], r.MinSoC["Shaving"])
@@ -235,6 +256,9 @@ func TestAblationShape(t *testing.T) {
 	r, err := Ablation(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.MeanRT) == 0 {
+		t.Fatal("ablation empty")
 	}
 	if !r.FullHoldsBudget() {
 		t.Fatalf("full framework left %.1f%% slots over budget", 100*r.SlotsOver["full"])
@@ -267,6 +291,9 @@ func TestScaleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.Sizes) == 0 {
+		t.Fatal("scale empty")
+	}
 	if !r.InvariantAcrossScale() {
 		t.Fatalf("scale invariant broken: undefended %v, antidope-over %v, p90 cap=%v ad=%v",
 			r.UndefendedOver, r.AntiDopeOver, r.CappingP90, r.AntiDopeP90)
@@ -293,6 +320,9 @@ func TestCapacityShape(t *testing.T) {
 	r, err := Capacity(quick())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.RPS) == 0 {
+		t.Fatal("capacity empty")
 	}
 	if r.BaselineRPS <= 0 {
 		t.Fatal("no baseline capacity found")

@@ -7,8 +7,7 @@ package harness
 // obs.Registry (scrapeable live via obs.Serve) and keeps a per-job record
 // list that WriteManifest renders as a run-manifest JSON. Wall-clock values
 // never flow into a simulation — they only describe how the host executed
-// it — which is why the timing here carries walltime allows like the
-// watchdog in runOnce.
+// it — which is why the timing here carries walltime allows.
 
 import (
 	"bufio"

@@ -18,8 +18,9 @@ import (
 // "this function may touch the wall clock even though a simulation can
 // reach it" — the allow comment must sit at the chain head: on (or
 // directly above) the declaration of the function containing the sink.
-// The harness watchdog is the canonical example: its timer is annotated
-// at both levels, with the reason documented once at the function head.
+// The harness's job timing (Telemetry.jobBegin) is the canonical example:
+// its clock reads are annotated at both levels, with the reason documented
+// once at the function head.
 
 // WallTimeReach reports wall-clock entry points reachable from the
 // simulation roots, with the call chain.
